@@ -9,6 +9,7 @@ full key reference.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,9 +61,12 @@ class RunConfig:
 
 def _float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _int(section: str, key: str, raw: str) -> int:

@@ -120,9 +120,11 @@ def build_chain(params: RabiParams, chain: ParityChain) -> ChainHamiltonian:
     return ChainHamiltonian(chain, diag, offdiag, evals, evecs)
 
 
-def _evolve_grid(h: ChainHamiltonian, amp0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Amplitudes at every grid time, shape (n_trunc, len(t_grid))."""
-    coeffs = h.eigenvectors.T @ amp0
+def _evolve_grid(h: ChainHamiltonian, coeffs: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """Amplitudes V exp(-i Lambda t) coeffs at every grid time, shape (n_trunc, len(t_grid)).
+
+    ``coeffs`` are the initial amplitudes in the eigenbasis, V^T psi(0).
+    """
     phases = np.exp(-1j * np.outer(h.eigenvalues, t_grid))
     return h.eigenvectors @ (phases * coeffs[:, None])
 
@@ -137,9 +139,18 @@ def propagate(h: ChainHamiltonian, psi0: ChainState, t: float) -> ChainState:
         raise ValueError(f"state lives on {psi0.chain.name}, Hamiltonian is {h.chain.name}")
     if t < 0:
         raise ValueError(f"propagation distance must be >= 0, got {t}")
-    amp = _evolve_grid(h, psi0.amp, np.array([t]))[:, 0]
+    amp = _evolve_grid(h, h.eigenvectors.T @ psi0.amp, np.array([t]))[:, 0]
     # unitary evolution: the declared weight is unchanged
     return ChainState(amp, psi0.chain, psi0.weight)
+
+
+@dataclass(frozen=True)
+class _ChainSpectrum:
+    """A non-empty chain of a trajectory: its Hamiltonian, V^T psi(0) and its weight."""
+
+    hamiltonian: ChainHamiltonian
+    coeffs: np.ndarray
+    weight: float
 
 
 @dataclass
@@ -150,21 +161,35 @@ class Trajectory:
     mean_n are per-grid-point scalars.  ``truncation_flagged`` is set when
     the occupancy of the two topmost sites exceeds 1e-8 anywhere on the
     grid (run is reported, not aborted: finite arrays are a physical
-    feature of the 15-guide device).
+    feature of the 15-guide device).  The state at a grid time is rebuilt
+    on demand by :meth:`state`.
     """
 
     t_grid: np.ndarray
-    states: list[FullState]
     pnt: np.ndarray
     p_e: np.ndarray
     p_r: np.ndarray
     mean_n: np.ndarray
     truncation_flagged: bool
     top_site_occupancy: float
+    spectra: dict[ParityChain, _ChainSpectrum]   # non-empty chains only
 
     @property
     def p_g(self) -> np.ndarray:
         return 1.0 - self.p_e
+
+    def state(self, k: int) -> FullState:
+        """Full state at grid time t_grid[k] (negative k counts from the end), O(n_trunc^2)."""
+        t = np.array([self.t_grid[k]])
+        parts = []
+        for chain in ParityChain:
+            spec = self.spectra.get(chain)
+            if spec is None:
+                parts.append(ChainState(np.zeros(self.pnt.shape[1]), chain, 0.0))
+            else:
+                amp = _evolve_grid(spec.hamiltonian, spec.coeffs, t)[:, 0]
+                parts.append(ChainState(amp, chain, spec.weight))
+        return recompose(*parts)
 
 
 def run_trajectory(
@@ -188,20 +213,23 @@ def run_trajectory(
     n_steps = int(np.floor(t_max / dt + 1e-9))
     t_grid = np.arange(n_steps + 1) * dt
 
-    c0, f0 = decompose(initial)
     n = params.n_trunc
     nt = t_grid.shape[0]
+    spectra = {}
     amps = {}
-    for chain_state in (c0, f0):
+    for chain_state in decompose(initial):
         if chain_state.weight == 0.0:
             amps[chain_state.chain] = np.zeros((n, nt), dtype=complex)
         else:
             h = build_chain(params, chain_state.chain)
-            amps[chain_state.chain] = _evolve_grid(h, chain_state.amp, t_grid)
+            spec = _ChainSpectrum(h, h.eigenvectors.T @ chain_state.amp, chain_state.weight)
+            spectra[chain_state.chain] = spec
+            amps[chain_state.chain] = _evolve_grid(h, spec.coeffs, t_grid)
 
     even = np.arange(n) % 2 == 0
     amp_e = np.where(even[:, None], amps[ParityChain.C], amps[ParityChain.F])
     amp_g = np.where(even[:, None], amps[ParityChain.F], amps[ParityChain.C])
+    del amps  # frees a chain's (n, nt) array before the observables' temporaries
 
     pnt = (np.abs(amp_e) ** 2 + np.abs(amp_g) ** 2).T
     p_e = np.sum(np.abs(amp_e) ** 2, axis=0)
@@ -209,19 +237,16 @@ def run_trajectory(
     p_r = np.abs(overlap) ** 2
     mean_n = pnt @ np.arange(n, dtype=float)
 
-    states = [
-        FullState(amp_e[:, k], amp_g[:, k], norm_tol=1e-9) for k in range(nt)
-    ]
     top = float(pnt[:, -2:].max()) if n >= 2 else 0.0
     return Trajectory(
         t_grid=t_grid,
-        states=states,
         pnt=pnt,
         p_e=p_e,
         p_r=p_r,
         mean_n=mean_n,
         truncation_flagged=top > TRUNCATION_OCCUPANCY,
         top_site_occupancy=top,
+        spectra=spectra,
     )
 
 

@@ -12,32 +12,36 @@ import numpy as np
 
 from .dynamics import Trajectory
 
+_BLOCK_VALUES = 1 << 16   # values formatted per % call in _table_text
 
-def format_float(x: float) -> str:
-    """12 significant digits, scientific."""
-    return f"{x:.11e}"
+
+def _table_text(header: str, table: np.ndarray) -> str:
+    """The header line, then one tab-separated line per row of a 2-D float table.
+
+    Every value is written as ``f"{x:.11e}"`` writes it: the ``%.11e``
+    row template is the same C conversion, applied to a block of rows at a
+    time so that the Python floats passed to it stay bounded in number.
+    """
+    rows, cols = table.shape
+    row_template = "\t".join(["%.11e"] * cols) + "\n"
+    block = max(1, _BLOCK_VALUES // cols)
+    parts = [header + "\n"]
+    for start in range(0, rows, block):
+        chunk = table[start:start + block]
+        parts.append((row_template * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    return "".join(parts)
 
 
 def timeseries_text(traj: Trajectory) -> str:
-    lines = ["t_mm\tP_e\tP_g\tP_r\tmean_n"]
-    for k in range(traj.t_grid.shape[0]):
-        lines.append(
-            "\t".join(
-                format_float(v)
-                for v in (traj.t_grid[k], traj.p_e[k], traj.p_g[k], traj.p_r[k], traj.mean_n[k])
-            )
-        )
-    return "\n".join(lines) + "\n"
+    table = np.column_stack((traj.t_grid, traj.p_e, traj.p_g, traj.p_r, traj.mean_n))
+    return _table_text("t_mm\tP_e\tP_g\tP_r\tmean_n", table)
 
 
 def intensity_map_text(traj: Trajectory) -> str:
     """Rows are grid times (top to bottom), columns are sites (left to right)."""
     n = traj.pnt.shape[1]
-    lines = ["t_mm\t" + "\t".join(f"P{j}" for j in range(n))]
-    for k in range(traj.t_grid.shape[0]):
-        row = "\t".join(format_float(v) for v in traj.pnt[k])
-        lines.append(format_float(traj.t_grid[k]) + "\t" + row)
-    return "\n".join(lines) + "\n"
+    header = "t_mm\t" + "\t".join(f"P{j}" for j in range(n))
+    return _table_text(header, np.column_stack((traj.t_grid, traj.pnt)))
 
 
 def intensity_map_pgm(traj: Trajectory) -> bytes:
@@ -56,10 +60,8 @@ def intensity_map_pgm(traj: Trajectory) -> bytes:
 
 
 def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> str:
-    lines = ["omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n"]
-    for omega0, min_pr, min_pop, max_n in rows:
-        lines.append("\t".join(format_float(v) for v in (omega0, min_pr, min_pop, max_n)))
-    return "\n".join(lines) + "\n"
+    table = np.array(rows, dtype=float).reshape(len(rows), 4)
+    return _table_text("omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n", table)
 
 
 def write_text(path: Path, text: str) -> None:

@@ -167,6 +167,26 @@ def test_bad_config_exits_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "line, bad, key",
+    [
+        ("g = 0.15", "g = nan", "model.g"),
+        ("omega0 = 0", "omega0 = inf", "model.omega0"),
+        ("omega = 0.23", "omega = inf", "model.omega"),
+        ("t_max = 60", "t_max = inf", "grid.t_max"),
+        ("dt = 0.1", "dt = inf", "grid.dt"),
+    ],
+)
+def test_non_finite_config_value_exits_1_naming_the_key(tmp_path, capsys, line, bad, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(DSC_CONFIG.replace(line, bad))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{key}: must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exits_1(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert rc == 1

@@ -179,9 +179,26 @@ def test_two_chain_initial_state_propagates_both_chains():
         20.0,
         0.5,
     )
-    c, f = decompose(traj.states[-1])
+    c, f = decompose(traj.state(-1))
     assert c.weight == pytest.approx(0.5, abs=1e-10)
     assert f.weight == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("initial", ["e0", "two-chain"])
+def test_trajectory_state_matches_single_time_evolution(initial):
+    p = RabiParams(omega0=0.08, omega=0.23, g=0.15, n_trunc=32)
+    if initial == "e0":
+        state0 = FullState.basis_state("e", 0, 32)
+    else:
+        state0 = random_full_state(np.random.default_rng(3), 32)
+    traj = run_trajectory(p, state0, 20.0, 0.5)
+    nt = traj.t_grid.shape[0]
+    for k in (0, nt // 2, -1):
+        got = traj.state(k)
+        want = chain_reference_state(p, state0, float(traj.t_grid[k]))
+        assert np.abs(got.amp_e - want.amp_e).max() < 1e-12
+        assert np.abs(got.amp_g - want.amp_g).max() < 1e-12
+    assert np.array_equal(traj.state(-1).amp_e, traj.state(nt - 1).amp_e)
 
 
 def test_truncation_sentinel_flags_small_arrays():
@@ -210,7 +227,7 @@ def test_population_examples():
 def test_population_equals_even_site_sum_on_c_chain():
     # for a state confined to the C chain, P_e is the even-site weight
     traj = run_trajectory(DSC, FullState.basis_state("e", 0, 64), 20.0, 1.0)
-    for state in traj.states:
+    for state in map(traj.state, range(traj.t_grid.shape[0])):
         c, _ = decompose(state)
         assert population_excited(state) == pytest.approx(
             float(np.sum(np.abs(c.amp[0::2]) ** 2)), abs=1e-12
