@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import EigendecompositionError, run_trajectory
+from .dynamics import EigendecompositionError, grid_points, run_trajectory
 from .lattice import (
     CouplingRangeError,
     FabricationError,
@@ -50,8 +51,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _physical_memory_bytes() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to check against
+        return math.inf
+
+
+def _check_grid(n_trunc: int, t_max: float, dt: float, grid: str) -> None:
+    """Raise ConfigError, before anything is allocated, for a grid run_trajectory cannot run.
+
+    That is a step longer than the grid, or a float (grid points x n_trunc)
+    map P(n, t) larger than physical memory; ``grid`` names the keys that
+    set the grid.
+    """
+    if t_max < dt:
+        raise ConfigError(f"{grid}: the step is longer than the grid, dt must be <= {t_max!r}")
+    points = grid_points(t_max, dt)
+    map_bytes = 8.0 * points * n_trunc
+    physical = _physical_memory_bytes()
+    if map_bytes > physical:
+        raise ConfigError(
+            f"{grid}: {points:.3g} grid points x n_trunc = {n_trunc} need a "
+            f"{map_bytes / 2**30:.3g} GiB intensity map, more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     dt = cfg.dt if cfg.dt is not None else SIMULATE_DEFAULT_DT
+    _check_grid(
+        cfg.params.n_trunc, cfg.t_max, dt, f"grid.t_max = {cfg.t_max!r}, grid.dt = {dt!r}"
+    )
     traj = run_trajectory(cfg.params, cfg.initial, cfg.t_max, dt)
     if traj.truncation_flagged:
         print(
@@ -93,6 +124,12 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
     if not omega0_list:
         raise ConfigError("sweep needs a non-empty --omega0-list")
     dt = cfg.dt if cfg.dt is not None else SWEEP_DEFAULT_DT
+    t_bounce = 2.0 * math.pi / cfg.params.omega
+    _check_grid(
+        cfg.params.n_trunc, t_bounce, dt,
+        f"grid.dt = {dt!r} over one bounce period 2*pi/omega = {t_bounce:.6g} mm "
+        f"(sweep does not read grid.t_max)",
+    )
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(lambda v: _sweep_point(cfg, v, dt), omega0_list))

@@ -13,35 +13,47 @@ import numpy as np
 from .dynamics import Trajectory
 
 _BLOCK_VALUES = 1 << 16   # values formatted per % call in _table_text
+_ZERO = "%.11e" % 0.0     # the text of +0.0, written literally for empty columns
 
 
-def _table_text(header: str, table: np.ndarray) -> str:
-    """The header line, then one tab-separated line per row of a 2-D float table.
+def _table_text(header: str, *columns: np.ndarray) -> list[str]:
+    """The header line, then one tab-separated line per row, as a list of text blocks.
 
-    Every value is written as ``f"{x:.11e}"`` writes it: the ``%.11e``
-    row template is the same C conversion, applied to a block of rows at a
-    time so that the Python floats passed to it stay bounded in number.
+    ``columns`` are 1-D or 2-D float arrays with one entry (or row) per
+    table row; they are put side by side a block of rows at a time.  Every
+    value is written as ``f"{x:.11e}"`` writes it: the ``%.11e`` row
+    template is the same C conversion, applied to a block of rows at a time
+    so that the Python floats passed to it stay bounded in number.  The
+    trailing columns of a block that hold +0.0 (by bit pattern, so -0.0
+    still goes through the conversion) in every row are literal text in
+    that block's template.
     """
-    rows, cols = table.shape
-    row_template = "\t".join(["%.11e"] * cols) + "\n"
+    rows = columns[0].shape[0]
+    cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     block = max(1, _BLOCK_VALUES // cols)
     parts = [header + "\n"]
     for start in range(0, rows, block):
-        chunk = table[start:start + block]
-        parts.append((row_template * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
-    return "".join(parts)
+        chunk = np.column_stack([c[start:start + block] for c in columns])
+        live = np.flatnonzero(chunk.view(np.uint64).any(axis=0))
+        width = int(live[-1]) + 1 if live.size else 0
+        row_template = "\t".join(["%.11e"] * width + [_ZERO] * (cols - width)) + "\n"
+        values = tuple(chunk[:, :width].ravel().tolist())
+        parts.append((row_template * chunk.shape[0]) % values)
+    return parts
 
 
-def timeseries_text(traj: Trajectory) -> str:
-    table = np.column_stack((traj.t_grid, traj.p_e, traj.p_g, traj.p_r, traj.mean_n))
-    return _table_text("t_mm\tP_e\tP_g\tP_r\tmean_n", table)
+def timeseries_text(traj: Trajectory) -> list[str]:
+    return _table_text(
+        "t_mm\tP_e\tP_g\tP_r\tmean_n",
+        traj.t_grid, traj.p_e, traj.p_g, traj.p_r, traj.mean_n,
+    )
 
 
-def intensity_map_text(traj: Trajectory) -> str:
+def intensity_map_text(traj: Trajectory) -> list[str]:
     """Rows are grid times (top to bottom), columns are sites (left to right)."""
     n = traj.pnt.shape[1]
     header = "t_mm\t" + "\t".join(f"P{j}" for j in range(n))
-    return _table_text(header, np.column_stack((traj.t_grid, traj.pnt)))
+    return _table_text(header, traj.t_grid, traj.pnt)
 
 
 def intensity_map_pgm(traj: Trajectory) -> bytes:
@@ -59,14 +71,16 @@ def intensity_map_pgm(traj: Trajectory) -> bytes:
     return header + data.tobytes()
 
 
-def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> str:
+def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> list[str]:
     table = np.array(rows, dtype=float).reshape(len(rows), 4)
     return _table_text("omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n", table)
 
 
-def write_text(path: Path, text: str) -> None:
+def write_text(path: Path, text: str | list[str]) -> None:
+    """Write a string, or a formatter's list of text blocks one after another."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as f:
+        f.writelines([text] if isinstance(text, str) else text)
 
 
 def write_bytes(path: Path, blob: bytes) -> None:

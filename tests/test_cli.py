@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rabichain import analytic, validate
+from rabichain import analytic, cli, validate
 from rabichain.cli import main
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
 from rabichain.model import RabiParams
@@ -184,6 +184,54 @@ def test_non_finite_config_value_exits_1_naming_the_key(tmp_path, capsys, line, 
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{key}: must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("run_trajectory reached: the grid was not checked first")
+
+
+SWEEP_ARGS = ["--omega0-list=0.1,-0.1"]
+
+
+@pytest.mark.parametrize(
+    "command, line, bad",
+    [
+        ("simulate", "dt = 0.1", "dt = 1e-300"),
+        ("simulate", "t_max = 60", "t_max = 1e12"),
+        ("sweep", "dt = 0.1", "dt = 1e-300"),
+    ],
+)
+def test_grid_too_large_for_memory_exits_1_before_allocating(
+    tmp_path, capsys, monkeypatch, command, line, bad
+):
+    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(DSC_CONFIG.replace(line, bad))
+    extra = SWEEP_ARGS if command == "sweep" else []
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "grid.dt" in err and "grid.t_max" in err
+    assert "physical memory" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, grid",
+    [
+        ("simulate", "t_max = 0.05\n"),          # shorter than the default dt 0.1
+        ("sweep", "t_max = 60\ndt = 50\n"),     # longer than the bounce period 27.3
+    ],
+)
+def test_step_longer_than_grid_exits_1(tmp_path, capsys, monkeypatch, command, grid):
+    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(DSC_CONFIG.replace("t_max = 60\ndt = 0.1\n", grid))
+    extra = SWEEP_ARGS if command == "sweep" else []
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
+    assert rc == 1
+    assert "the step is longer than the grid" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

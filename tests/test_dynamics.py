@@ -5,6 +5,7 @@ import pytest
 
 from rabichain.dynamics import (
     DimensionMismatchError,
+    _evolve_grid,
     build_chain,
     chain_reference_state,
     full_rabi_matrix,
@@ -199,6 +200,86 @@ def test_trajectory_state_matches_single_time_evolution(initial):
         assert np.abs(got.amp_e - want.amp_e).max() < 1e-12
         assert np.abs(got.amp_g - want.amp_g).max() < 1e-12
     assert np.array_equal(traj.state(-1).amp_e, traj.state(nt - 1).amp_e)
+
+
+def unrestricted_observables(params, initial, t_grid):
+    """The full product V (exp(-i Lambda t) * c) over all n_trunc sites, then the observables.
+
+    An empty chain is an all-zero (n, nt) array; returns (amp_e, amp_g,
+    pnt, p_e, p_r, mean_n).
+    """
+    n = params.n_trunc
+    amps = {}
+    for part in decompose(initial):
+        if part.weight == 0.0:
+            amps[part.chain] = np.zeros((n, t_grid.shape[0]), dtype=complex)
+        else:
+            h = build_chain(params, part.chain)
+            coeffs = h.eigenvectors.T @ part.amp
+            phases = np.exp(-1j * np.outer(h.eigenvalues, t_grid))
+            amps[part.chain] = h.eigenvectors @ (phases * coeffs[:, None])
+    even = np.arange(n) % 2 == 0
+    amp_e = np.where(even[:, None], amps[ParityChain.C], amps[ParityChain.F])
+    amp_g = np.where(even[:, None], amps[ParityChain.F], amps[ParityChain.C])
+    pnt = (np.abs(amp_e) ** 2 + np.abs(amp_g) ** 2).T
+    p_e = np.sum(np.abs(amp_e) ** 2, axis=0)
+    overlap = np.conj(amp_e).T @ initial.amp_e + np.conj(amp_g).T @ initial.amp_g
+    return amp_e, amp_g, pnt, p_e, np.abs(overlap) ** 2, pnt @ np.arange(n, dtype=float)
+
+
+def low_fock_superposition(n_trunc, sites, seed):
+    """A random complex superposition of the lowest Fock states on both qubit branches."""
+    vec = np.random.default_rng(seed).normal(size=4 * sites).view(np.complex128)
+    vec /= np.linalg.norm(vec)
+    amp_e = np.zeros(n_trunc, dtype=complex)
+    amp_g = np.zeros(n_trunc, dtype=complex)
+    amp_e[:sites], amp_g[:sites] = vec[:sites], vec[sites:]
+    return FullState(amp_e, amp_g)
+
+
+def largest_reach(params, initial):
+    reaches = [0]
+    for part in decompose(initial):
+        if part.weight != 0.0:
+            h = build_chain(params, part.chain)
+            reaches.append(_evolve_grid(h, h.eigenvectors.T @ part.amp, np.zeros(1)).shape[0])
+    return max(reaches)
+
+
+@pytest.mark.parametrize(
+    "params, initial, restricted",
+    [
+        # e0 at g/omega 0.65: nothing past site 256 is reached
+        (RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=1024),
+         FullState.basis_state("e", 0, 1024), True),
+        # g/omega > 2: every site is reached
+        (RabiParams(omega0=0.1, omega=0.23, g=0.6, n_trunc=64),
+         FullState.basis_state("e", 0, 64), False),
+        # g2 lives on the F chain alone: the C chain is empty
+        (RabiParams(omega0=0.05, omega=0.23, g=0.15, n_trunc=48),
+         FullState.basis_state("g", 2, 48), False),
+        # complex superpositions on both chains
+        (RabiParams(omega0=-0.08, omega=0.23, g=0.15, n_trunc=40),
+         random_full_state(np.random.default_rng(11), 40), False),
+        (RabiParams(omega0=0.08, omega=0.23, g=0.15, n_trunc=512),
+         low_fock_superposition(512, 4, seed=5), True),
+    ],
+    ids=["reach-below-n", "reach-n", "one-chain-empty", "two-chains", "two-chains-reach-below-n"],
+)
+def test_restricted_propagation_is_bit_identical_to_the_full_product(params, initial, restricted):
+    n = params.n_trunc
+    assert (largest_reach(params, initial) < n) == restricted
+    traj = run_trajectory(params, initial, 6.0, 0.1)
+    _, _, pnt, p_e, p_r, mean_n = unrestricted_observables(params, initial, traj.t_grid)
+    assert np.array_equal(traj.pnt, pnt)
+    assert np.array_equal(traj.p_e, p_e)
+    assert np.array_equal(traj.p_r, p_r)
+    assert np.array_equal(traj.mean_n, mean_n)
+    for k in (0, 17, -1):
+        amp_e, amp_g, *_ = unrestricted_observables(params, initial, traj.t_grid[k:k + 1 or None])
+        state = traj.state(k)
+        assert np.array_equal(np.abs(state.amp_e) ** 2, np.abs(amp_e[:, 0]) ** 2)
+        assert np.array_equal(np.abs(state.amp_g) ** 2, np.abs(amp_g[:, 0]) ** 2)
 
 
 def test_truncation_sentinel_flags_small_arrays():
