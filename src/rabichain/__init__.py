@@ -1,92 +1,17 @@
 """Deep-strong-coupling Rabi dynamics on parity chains, plus a photonic
 waveguide-array design tool."""
 
-from .analytic import (
-    ClosedFormDomainError,
-    LangFirsovSolution,
-    jc_population,
-    lf_mean_photon,
-    lf_period,
-    lf_revival,
-)
-from .dynamics import (
-    ChainHamiltonian,
-    DimensionMismatchError,
-    EigendecompositionError,
-    Trajectory,
-    build_chain,
-    chain_reference_state,
-    full_rabi_reference,
-    mean_photon_number,
-    photon_distribution,
-    population_excited,
-    population_ground,
-    propagate,
-    revival_probability,
-    run_trajectory,
-)
-from .lattice import (
-    CouplingCalibration,
-    CouplingRangeError,
-    FabricationError,
-    LatticeRecipe,
-    OpticalConstants,
-    design,
-    format_recipe,
-    gradient_omega,
-    parse_recipe,
-    spacing_for_coupling,
-    verify_recipe,
-)
-from .model import (
-    ChainState,
-    FullState,
-    ParityChain,
-    RabiParams,
-    coupling,
-    decompose,
-    recompose,
-)
+from .analytic import lf_period, lf_revival
+from .dynamics import run_trajectory
+from .model import FullState, RabiParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainHamiltonian",
-    "ChainState",
-    "ClosedFormDomainError",
-    "CouplingCalibration",
-    "CouplingRangeError",
-    "DimensionMismatchError",
-    "EigendecompositionError",
-    "FabricationError",
     "FullState",
-    "LangFirsovSolution",
-    "LatticeRecipe",
-    "OpticalConstants",
-    "ParityChain",
     "RabiParams",
-    "Trajectory",
-    "build_chain",
-    "chain_reference_state",
-    "coupling",
-    "decompose",
-    "design",
-    "format_recipe",
-    "full_rabi_reference",
-    "gradient_omega",
-    "jc_population",
-    "lf_mean_photon",
+    "__version__",
     "lf_period",
     "lf_revival",
-    "mean_photon_number",
-    "parse_recipe",
-    "photon_distribution",
-    "population_excited",
-    "population_ground",
-    "propagate",
-    "recompose",
-    "revival_probability",
     "run_trajectory",
-    "spacing_for_coupling",
-    "verify_recipe",
 ]

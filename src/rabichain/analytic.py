@@ -19,7 +19,6 @@ P_e(t) = cos^2(g t), valid for g much smaller than omega0 = omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,22 +36,10 @@ def _require_degenerate(params: RabiParams, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LangFirsovSolution:
-    """Displacement and period of the omega0 = 0 solution."""
-
-    beta: float
-    period: float
-
-    @classmethod
-    def from_params(cls, params: RabiParams) -> "LangFirsovSolution":
-        _require_degenerate(params, "the displaced-oscillator solution")
-        return cls(beta=params.g / params.omega, period=2.0 * math.pi / params.omega)
-
-
 def lf_period(params: RabiParams) -> float:
     """Bounce period T = 2 pi / omega (requires omega0 = 0)."""
-    return LangFirsovSolution.from_params(params).period
+    _require_degenerate(params, "lf_period")
+    return 2.0 * math.pi / params.omega
 
 
 def lf_revival(params: RabiParams, t):

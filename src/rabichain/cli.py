@@ -9,14 +9,19 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config
-from .dynamics import EigendecompositionError, grid_points, run_trajectory
+from .config import ConfigError, RunConfig, _physical_memory_bytes, load_config
+from .dynamics import (
+    CELL_BYTES,
+    MATRIX_BYTES,
+    EigendecompositionError,
+    grid_points,
+    run_trajectory,
+)
 from .lattice import (
     CouplingRangeError,
     FabricationError,
@@ -24,7 +29,7 @@ from .lattice import (
     format_recipe,
     verify_recipe,
 )
-from .model import FullState
+from .model import FullState, RabiParams
 from .output import (
     intensity_map_pgm,
     intensity_map_text,
@@ -43,6 +48,14 @@ EXIT_VALIDATION = 3
 SWEEP_DEFAULT_DT = 0.05
 SIMULATE_DEFAULT_DT = 0.1
 
+# Bytes the output phase adds to a run: per map cell, the map's text (17
+# characters and a tab per value) and the PGM raster's float and uint8
+# copies; once, the block being formatted, 2^16 values at most, each held
+# as a float in the block, a Python float in a list and a tuple, and as
+# text twice (the repeated row template and its result).
+OUTPUT_CELL_BYTES = 18 + 16
+FORMAT_BLOCK_BYTES = (8 + 32 + 8 + 18 + 18) * 2**16
+
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit with code 1 here, not argparse's default 2
@@ -51,30 +64,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _physical_memory_bytes() -> float:
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to check against
-        return math.inf
+def _run_bytes(n_trunc: int, points: float, runs: int = 1) -> float:
+    """Upper bound on the bytes a command holds at once.
+
+    That is ``runs`` trajectories at once, each with its eigenvector
+    matrices and (points x n_trunc) arrays, plus the output of one
+    intensity map.
+    """
+    cells = points * n_trunc
+    return (runs * (MATRIX_BYTES * n_trunc**2 + CELL_BYTES * cells)
+            + OUTPUT_CELL_BYTES * cells + FORMAT_BLOCK_BYTES)
 
 
-def _check_grid(n_trunc: int, t_max: float, dt: float, grid: str) -> None:
-    """Raise ConfigError, before anything is allocated, for a grid run_trajectory cannot run.
+def _check_grid(n_trunc: int, t_max: float, dt: float, grid: str, runs: int = 1) -> None:
+    """Raise ConfigError, before anything is allocated, for a grid the run cannot hold.
 
-    That is a step longer than the grid, or a float (grid points x n_trunc)
-    map P(n, t) larger than physical memory; ``grid`` names the keys that
-    set the grid.
+    That is a step longer than the grid, or a run (:func:`_run_bytes`)
+    that does not fit in physical memory; ``grid`` names the keys that set
+    the grid.
     """
     if t_max < dt:
         raise ConfigError(f"{grid}: the step is longer than the grid, dt must be <= {t_max!r}")
     points = grid_points(t_max, dt)
-    map_bytes = 8.0 * points * n_trunc
+    need = _run_bytes(n_trunc, points, runs)
     physical = _physical_memory_bytes()
-    if map_bytes > physical:
+    if need > physical:
+        at_once = f" for {runs} sweep points at once" if runs > 1 else ""
         raise ConfigError(
-            f"{grid}: {points:.3g} grid points x n_trunc = {n_trunc} need a "
-            f"{map_bytes / 2**30:.3g} GiB intensity map, more than the "
-            f"{physical / 2**30:.3g} GiB of physical memory"
+            f"{grid}: {points:.3g} grid points x n_trunc = {n_trunc}{at_once} need "
+            f"about {need / 2**30:.3g} GiB (a {8.0 * points * n_trunc / 2**30:.3g} GiB "
+            f"intensity map, the complex arrays that propagate it and its text), more "
+            f"than the {physical / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -99,14 +119,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     return EXIT_OK
 
 
-def _sweep_point(cfg: RunConfig, omega0: float, dt: float):
+def _sweep_point(params: RabiParams, omega0: float, dt: float):
     """One sweep point, using the device convention for signed omega0.
 
-    The sign selects the initial state (excited for omega0 >= 0, ground
-    otherwise) of the model with |omega0|; the two choices excite the two
-    different parity chains, so the signed value reaches both.
+    ``params`` is the model with |omega0|; the sign selects the initial
+    state (excited for omega0 >= 0, ground otherwise).  The two choices
+    excite the two different parity chains, so the signed value reaches
+    both.
     """
-    params = replace(cfg.params, omega0=abs(omega0))
     branch = "e" if omega0 >= 0 else "g"
     initial = FullState.basis_state(branch, 0, params.n_trunc)
     t_bounce = 2.0 * math.pi / params.omega
@@ -123,18 +143,25 @@ def _sweep_point(cfg: RunConfig, omega0: float, dt: float):
 def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int) -> int:
     if not omega0_list:
         raise ConfigError("sweep needs a non-empty --omega0-list")
+    models = []
+    for v in omega0_list:   # every value is checked before any point runs
+        try:
+            models.append(replace(cfg.params, omega0=abs(v)))
+        except ValueError as exc:
+            raise ConfigError(f"--omega0-list: value {v!r}: {exc}") from None
     dt = cfg.dt if cfg.dt is not None else SWEEP_DEFAULT_DT
     t_bounce = 2.0 * math.pi / cfg.params.omega
     _check_grid(
         cfg.params.n_trunc, t_bounce, dt,
         f"grid.dt = {dt!r} over one bounce period 2*pi/omega = {t_bounce:.6g} mm "
         f"(sweep does not read grid.t_max)",
+        runs=min(jobs, len(models)) if jobs > 1 else 1,
     )
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda v: _sweep_point(cfg, v, dt), omega0_list))
+            rows = list(pool.map(lambda p, v: _sweep_point(p, v, dt), models, omega0_list))
     else:
-        rows = [_sweep_point(cfg, v, dt) for v in omega0_list]
+        rows = [_sweep_point(p, v, dt) for p, v in zip(models, omega0_list)]
     write_text(out_dir / "sweep.tsv", sweep_summary_text(rows))
     return EXIT_OK
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .dynamics import MATRIX_BYTES
 from .lattice import CouplingCalibration, OpticalConstants
 from .model import FullState, RabiParams
 
@@ -23,11 +25,8 @@ OUTPUT_KINDS = ("timeseries", "intensity_map", "recipe")
 _MODEL_KEYS = {"omega0", "omega", "g", "n_trunc", "initial", "initial_e", "initial_g"}
 _GRID_KEYS = {"t_max", "dt"}
 _OUTPUT_KEYS = {"outputs", "dir"}
-_DESIGN_KEYS = {
-    "n_guides",
-    "kappa0", "gamma", "d_ref", "d_min", "d_max",
-    "n_eff_base", "wavelength_nm", "radius_mm", "dn_dv",
-    "v_base", "v_min", "v_max",
+_DESIGN_KEYS = {"n_guides"} | {
+    f.name for cls in (CouplingCalibration, OpticalConstants) for f in fields(cls)
 }
 _SECTIONS = {
     "model": _MODEL_KEYS,
@@ -39,6 +38,13 @@ _SECTIONS = {
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
+
+
+def _physical_memory_bytes() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to check against
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,14 @@ def _build_initial(section: dict[str, str], params: RabiParams) -> FullState:
     return FullState.basis_state(branch, m, params.n_trunc)
 
 
+def _with_design_keys(default, section: dict[str, str]):
+    """``default`` with every field that [design] sets replaced, parsed in field order."""
+    return replace(default, **{
+        f.name: _float("design", f.name, section[f.name])
+        for f in fields(default) if f.name in section
+    })
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration; raises ConfigError."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -141,16 +155,19 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"model.{key} is required")
 
     omega = _float("model", "omega", model["omega"])
-    if not omega > 0:
-        raise ConfigError(f"model.omega: must be > 0, got {omega}")
     g = _float("model", "g", model["g"])
-    if g < 0:
-        raise ConfigError(f"model.g: must be >= 0, got {g}")
     n_trunc = _int("model", "n_trunc", model["n_trunc"])
-    if n_trunc < 2:
-        raise ConfigError(f"model.n_trunc: must be >= 2, got {n_trunc}")
     omega0 = _float("model", "omega0", model.get("omega0", "0"))
-    params = RabiParams(omega0=omega0, omega=omega, g=g, n_trunc=n_trunc)
+    physical = _physical_memory_bytes()
+    if MATRIX_BYTES * n_trunc**2 > physical:   # exact for any int, before n_trunc-sized arrays exist
+        raise ConfigError(
+            f"model.n_trunc: {n_trunc} sites need n_trunc x n_trunc eigenvector matrices "
+            f"larger than the {physical / 2**30:.3g} GiB of physical memory"
+        )
+    try:
+        params = RabiParams(omega0=omega0, omega=omega, g=g, n_trunc=n_trunc)
+    except ValueError as exc:
+        raise ConfigError(f"model.{exc}") from None
     initial = _build_initial(model, params)
 
     grid = dict(parser["grid"]) if parser.has_section("grid") else {}
@@ -188,25 +205,9 @@ def parse_config(text: str) -> RunConfig:
         n_guides = _int("design", "n_guides", d["n_guides"])
         if n_guides < 2:
             raise ConfigError(f"design.n_guides: must be >= 2, got {n_guides}")
-        cal_default = CouplingCalibration.default()
-        oc_default = OpticalConstants()
         try:
-            cal = CouplingCalibration(
-                kappa0=_float("design", "kappa0", d["kappa0"]) if "kappa0" in d else cal_default.kappa0,
-                gamma=_float("design", "gamma", d["gamma"]) if "gamma" in d else cal_default.gamma,
-                d_ref=_float("design", "d_ref", d["d_ref"]) if "d_ref" in d else cal_default.d_ref,
-                d_min=_float("design", "d_min", d["d_min"]) if "d_min" in d else cal_default.d_min,
-                d_max=_float("design", "d_max", d["d_max"]) if "d_max" in d else cal_default.d_max,
-            )
-            oc = OpticalConstants(
-                n_eff_base=_float("design", "n_eff_base", d["n_eff_base"]) if "n_eff_base" in d else oc_default.n_eff_base,
-                wavelength_nm=_float("design", "wavelength_nm", d["wavelength_nm"]) if "wavelength_nm" in d else oc_default.wavelength_nm,
-                radius_mm=_float("design", "radius_mm", d["radius_mm"]) if "radius_mm" in d else oc_default.radius_mm,
-                dn_dv=_float("design", "dn_dv", d["dn_dv"]) if "dn_dv" in d else oc_default.dn_dv,
-                v_base=_float("design", "v_base", d["v_base"]) if "v_base" in d else oc_default.v_base,
-                v_min=_float("design", "v_min", d["v_min"]) if "v_min" in d else oc_default.v_min,
-                v_max=_float("design", "v_max", d["v_max"]) if "v_max" in d else oc_default.v_max,
-            )
+            cal = _with_design_keys(CouplingCalibration.default(), d)
+            oc = _with_design_keys(OpticalConstants(), d)
         except ValueError as exc:
             raise ConfigError(f"design: {exc}") from None
         design = DesignConfig(calibration=cal, optics=oc, n_guides=n_guides)

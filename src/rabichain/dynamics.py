@@ -13,6 +13,15 @@ are propagated exactly through the spectral decomposition
 with no step error; the requested time grid is purely an output-sampling
 grid.
 
+There is one propagation path with two front-ends.  Both decompose the
+initial state and build each non-empty chain with its coefficients
+V^T psi(0) (``_spectra``), and both evolve a chain with ``_evolve_grid``.
+:func:`run_trajectory` evolves over the whole time grid at once;
+:func:`chain_reference_state` and :meth:`Trajectory.state` evolve to one
+time and recompose the full state (``_state_at``).  The observables P(n),
+P_e, P_r and <n> have one implementation, :func:`observables`, for the
+amplitudes of one state, shape (n,), or of a time grid, shape (n, nt).
+
 Only the live eigencomponents, those with a nonzero coefficient
 c_k = (V^T psi(0))_k, get a phase factor; the other rows of the phase
 matrix stay exactly zero.  The product is taken only over the sites
@@ -54,6 +63,18 @@ DECOMPOSITION_TOL = 1e-10     # residual / orthogonality bound on the eigensolve
 TRUNCATION_OCCUPANCY = 1e-8   # top-two-site occupancy that flags a trajectory
 FULL_RABI_MAX_TRUNC = 256     # the dense oracle is O((2 n_trunc)^3)
 
+# Upper bound on the bytes run_trajectory holds at once, per n_trunc^2 and
+# per grid cell (point x site), counted from the code below for two occupied
+# chains that reach every site.  Per n_trunc^2: the two chains' float
+# eigenvector matrices (16), plus either build_chain's three float
+# verification temporaries (24) or an evolving chain's complex copy of V and
+# its live columns (24).  Per cell: the complex right-hand side, its two
+# complex phase temporaries and the other chain's complex product (64;
+# amp_e/amp_g and the observables hold no more), then the float map
+# P(n, t) that is returned (8).
+MATRIX_BYTES = 48
+CELL_BYTES = 72
+
 
 class EigendecompositionError(RuntimeError):
     """Eigensolver output failed its residual or orthogonality bound."""
@@ -90,10 +111,12 @@ class ChainHamiltonian:
         )
 
     def apply(self, amp: np.ndarray) -> np.ndarray:
-        """Tridiagonal matrix-vector product H @ amp."""
-        out = self.diag * amp
-        out[:-1] += self.offdiag * amp[1:]
-        out[1:] += self.offdiag * amp[:-1]
+        """Tridiagonal product H @ amp for amp of shape (n_trunc,) or (n_trunc, k)."""
+        shape = (-1,) + (1,) * (amp.ndim - 1)
+        diag, offdiag = self.diag.reshape(shape), self.offdiag.reshape(shape)
+        out = diag * amp
+        out[:-1] += offdiag * amp[1:]
+        out[1:] += offdiag * amp[:-1]
         return out
 
     def energy(self, amp: np.ndarray) -> float:
@@ -121,11 +144,11 @@ def build_chain(params: RabiParams, chain: ParityChain) -> ChainHamiltonian:
             f"diag={diag!r}\noffdiag={offdiag!r}"
         ) from exc
 
+    h = ChainHamiltonian(chain, diag, offdiag, evals, evecs)
     scale = max(np.abs(diag).max(), np.abs(offdiag).max(), 1.0)
-    h = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    residual = np.abs(h @ evecs - evecs * evals).max()
+    residual = np.abs(h.apply(evecs) - evecs * evals).max()
     ortho = np.abs(evecs.T @ evecs - np.eye(n)).max()
-    if residual > DECOMPOSITION_TOL * scale or ortho > DECOMPOSITION_TOL:
+    if not (residual <= DECOMPOSITION_TOL * scale and ortho <= DECOMPOSITION_TOL):
         raise EigendecompositionError(
             f"eigendecomposition of {chain.name}-chain out of tolerance: "
             f"residual={residual:.3e} (scale {scale:.3e}), orthogonality={ortho:.3e}\n"
@@ -134,7 +157,7 @@ def build_chain(params: RabiParams, chain: ParityChain) -> ChainHamiltonian:
 
     for arr in (diag, offdiag, evals, evecs):
         arr.setflags(write=False)
-    return ChainHamiltonian(chain, diag, offdiag, evals, evecs)
+    return h
 
 
 def _evolve_grid(h: ChainHamiltonian, coeffs: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
@@ -151,29 +174,6 @@ def _evolve_grid(h: ChainHamiltonian, coeffs: np.ndarray, t_grid: np.ndarray) ->
     return h.eigenvectors[:reach] @ rhs
 
 
-def _evolve(h: ChainHamiltonian, coeffs: np.ndarray, t: float) -> np.ndarray:
-    """All n_trunc amplitudes at one time t, zero past the reach."""
-    amp = np.zeros(h.n_trunc, dtype=complex)
-    reached = _evolve_grid(h, coeffs, np.array([t]))[:, 0]
-    amp[:reached.shape[0]] = reached
-    return amp
-
-
-def propagate(h: ChainHamiltonian, psi0: ChainState, t: float) -> ChainState:
-    """Evolve a chain state by a propagation distance t >= 0 (mm)."""
-    if psi0.n_trunc != h.n_trunc:
-        raise DimensionMismatchError(
-            f"state has {psi0.n_trunc} sites, Hamiltonian has {h.n_trunc}"
-        )
-    if psi0.chain is not h.chain:
-        raise ValueError(f"state lives on {psi0.chain.name}, Hamiltonian is {h.chain.name}")
-    if t < 0:
-        raise ValueError(f"propagation distance must be >= 0, got {t}")
-    amp = _evolve(h, h.eigenvectors.T @ psi0.amp, t)
-    # unitary evolution: the declared weight is unchanged
-    return ChainState(amp, psi0.chain, psi0.weight)
-
-
 @dataclass(frozen=True)
 class _ChainSpectrum:
     """A non-empty chain of a trajectory: its Hamiltonian, V^T psi(0) and its weight."""
@@ -181,6 +181,33 @@ class _ChainSpectrum:
     hamiltonian: ChainHamiltonian
     coeffs: np.ndarray
     weight: float
+
+
+def _spectra(params: RabiParams, initial: FullState) -> dict[ParityChain, _ChainSpectrum]:
+    """Decompose the initial state; build each non-empty chain and its coefficients V^T psi(0)."""
+    if initial.n_trunc != params.n_trunc:
+        raise DimensionMismatchError(
+            f"initial state has {initial.n_trunc} sites, params.n_trunc={params.n_trunc}"
+        )
+    spectra = {}
+    for part in decompose(initial):
+        if part.weight != 0.0:
+            h = build_chain(params, part.chain)
+            spectra[part.chain] = _ChainSpectrum(h, h.eigenvectors.T @ part.amp, part.weight)
+    return spectra
+
+
+def _state_at(spectra: dict[ParityChain, _ChainSpectrum], n_trunc: int, t: float) -> FullState:
+    """Evolve each chain to time t, zero past its reach, and recompose the full state."""
+    parts = []
+    for chain in ParityChain:
+        amp = np.zeros(n_trunc, dtype=complex)
+        spec = spectra.get(chain)
+        if spec is not None:
+            reached = _evolve_grid(spec.hamiltonian, spec.coeffs, np.array([t]))[:, 0]
+            amp[:reached.shape[0]] = reached
+        parts.append(ChainState(amp, chain, 0.0 if spec is None else spec.weight))
+    return recompose(*parts)
 
 
 @dataclass
@@ -210,21 +237,38 @@ class Trajectory:
 
     def state(self, k: int) -> FullState:
         """Full state at grid time t_grid[k] (negative k counts from the end), O(n_trunc^2)."""
-        parts = []
-        for chain in ParityChain:
-            spec = self.spectra.get(chain)
-            if spec is None:
-                parts.append(ChainState(np.zeros(self.pnt.shape[1]), chain, 0.0))
-            else:
-                amp = _evolve(spec.hamiltonian, spec.coeffs, float(self.t_grid[k]))
-                parts.append(ChainState(amp, chain, spec.weight))
-        return recompose(*parts)
+        return _state_at(self.spectra, self.pnt.shape[1], float(self.t_grid[k]))
 
 
 def grid_points(t_max: float, dt: float) -> float:
     """Number of points of the grid {0, dt, 2 dt, ..., t_max}; inf if t_max / dt overflows."""
     steps = t_max / dt
     return math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else math.inf
+
+
+def observables(amp_e: np.ndarray, amp_g: np.ndarray, initial: FullState):
+    """P(n), P_e, P_r and <n> of amplitudes a_n, b_n on the sites n < m.
+
+    ``amp_e`` and ``amp_g`` have shape (m,), one state, or (m, nt), one
+    state per column; the sites m..n_trunc-1 of the state are taken to be
+    empty.  Returns (pop, p_e, p_r, mean_n): pop[n] = |a_n|^2 + |b_n|^2
+    with the shape of the input, and P_e = sum_n |a_n|^2, the revival
+    probability |<initial|state>|^2 and <n> = sum_n n pop[n] as scalars or
+    arrays of length nt.  P_g is 1 - P_e for a normalized state.
+    """
+    m = amp_e.shape[0]
+    if m > initial.n_trunc:
+        raise DimensionMismatchError(
+            f"state has {m} sites, the initial state has {initial.n_trunc}"
+        )
+    pop_e = np.abs(amp_e) ** 2
+    pop = pop_e + np.abs(amp_g) ** 2
+    p_e = np.sum(pop_e, axis=0)
+    overlap = (np.conj(amp_e).T @ initial.amp_e[:m]
+               + np.conj(amp_g).T @ initial.amp_g[:m])
+    p_r = np.abs(overlap) ** 2
+    mean_n = pop.T @ np.arange(m, dtype=float)
+    return pop, p_e, p_r, mean_n
 
 
 def run_trajectory(
@@ -240,23 +284,15 @@ def run_trajectory(
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_max < dt:
         raise ValueError(f"t_max must be >= dt, got t_max={t_max}, dt={dt}")
-    if initial.n_trunc != params.n_trunc:
-        raise DimensionMismatchError(
-            f"initial state has {initial.n_trunc} sites, params.n_trunc={params.n_trunc}"
-        )
+    spectra = _spectra(params, initial)
 
     t_grid = np.arange(grid_points(t_max, dt)) * dt
-
     n = params.n_trunc
     nt = t_grid.shape[0]
-    spectra = {}
-    amps = {}
-    for chain_state in decompose(initial):
-        if chain_state.weight != 0.0:
-            h = build_chain(params, chain_state.chain)
-            spec = _ChainSpectrum(h, h.eigenvectors.T @ chain_state.amp, chain_state.weight)
-            spectra[chain_state.chain] = spec
-            amps[chain_state.chain] = _evolve_grid(h, spec.coeffs, t_grid)
+    amps = {
+        chain: _evolve_grid(spec.hamiltonian, spec.coeffs, t_grid)
+        for chain, spec in spectra.items()
+    }
 
     # Observables on the sites either chain reaches; every site past them is
     # exactly empty.  The C chain holds a_n on even sites and b_n on odd ones,
@@ -270,15 +306,9 @@ def run_trajectory(
         amp_g[1 - on_e:amp.shape[0]:2] = amp[1 - on_e::2]
     del amps, amp  # frees the chains' arrays before the observables' temporaries
 
-    pop_e = np.abs(amp_e) ** 2
-    pop = pop_e + np.abs(amp_g) ** 2
+    pop, p_e, p_r, mean_n = observables(amp_e, amp_g, initial)
     pnt = np.zeros((n, nt)).T   # stored site-major like pop, so filling it is a plain copy
     pnt[:, :reach] = pop.T
-    p_e = np.sum(pop_e, axis=0)
-    overlap = (np.conj(amp_e).T @ initial.amp_e[:reach]
-               + np.conj(amp_g).T @ initial.amp_g[:reach])
-    p_r = np.abs(overlap) ** 2
-    mean_n = pop.T @ np.arange(reach, dtype=float)
 
     top = float(pnt[:, -2:].max()) if n >= 2 else 0.0
     return Trajectory(
@@ -293,39 +323,11 @@ def run_trajectory(
     )
 
 
-# ---------------------------------------------------------------------------
-# Observables on a single state
-# ---------------------------------------------------------------------------
-
-def photon_distribution(state: FullState) -> np.ndarray:
-    """P(n) = |a_n|^2 + |b_n|^2."""
-    return np.abs(state.amp_e) ** 2 + np.abs(state.amp_g) ** 2
-
-
-def population_excited(state: FullState) -> float:
-    """P_e = sum_n |a_n|^2."""
-    return float(np.sum(np.abs(state.amp_e) ** 2))
-
-
-def population_ground(state: FullState) -> float:
-    """P_g = sum_n |b_n|^2 = 1 - P_e for a normalized state."""
-    return float(np.sum(np.abs(state.amp_g) ** 2))
-
-
-def revival_probability(state: FullState, initial: FullState) -> float:
-    """Squared overlap |<initial|state>|^2 (global-phase free)."""
-    if state.n_trunc != initial.n_trunc:
-        raise DimensionMismatchError(
-            f"states have different sizes: {state.n_trunc} vs {initial.n_trunc}"
-        )
-    overlap = np.vdot(initial.amp_e, state.amp_e) + np.vdot(initial.amp_g, state.amp_g)
-    return float(np.abs(overlap) ** 2)
-
-
-def mean_photon_number(state: FullState) -> float:
-    """<n> = sum_n n (|a_n|^2 + |b_n|^2)."""
-    n = np.arange(state.n_trunc, dtype=float)
-    return float(np.sum(n * photon_distribution(state)))
+def chain_reference_state(params: RabiParams, initial: FullState, t: float) -> FullState:
+    """Single-time parity-chain evolution (the production path, one point)."""
+    if t < 0:
+        raise ValueError(f"propagation distance must be >= 0, got {t}")
+    return _state_at(_spectra(params, initial), params.n_trunc, t)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +376,3 @@ def full_rabi_reference(params: RabiParams, initial: FullState, t: float) -> Ful
     evals, evecs = eigh(full_rabi_matrix(params))
     psi_t = evecs @ (np.exp(-1j * evals * t) * (evecs.T @ psi0))
     return FullState(psi_t[1::2], psi_t[0::2], norm_tol=1e-9)
-
-
-def chain_reference_state(params: RabiParams, initial: FullState, t: float) -> FullState:
-    """Single-time parity-chain evolution (the production path, one point)."""
-    c0, f0 = decompose(initial)
-    evolved = []
-    for chain_state in (c0, f0):
-        if chain_state.weight == 0.0:
-            evolved.append(chain_state)
-        else:
-            evolved.append(propagate(build_chain(params, chain_state.chain), chain_state, t))
-    return recompose(*evolved)

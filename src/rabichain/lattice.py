@@ -148,15 +148,6 @@ def gradient_omega(oc: OpticalConstants, d_um, n_eff) -> float:
     return 2.0 * math.pi * n_eff * d_mm / (oc.radius_mm * oc.wavelength_mm)
 
 
-def detuning_index_offset(oc: OpticalConstants, omega0: float, guide: int) -> float:
-    """Alternating index offset implementing the qubit splitting.
-
-    Guide n carries the diagonal term (-1)^n omega0 / 2 (mm^-1), i.e. an
-    index offset (-1)^n (omega0/2) lambda / (2 pi).
-    """
-    return ((-1.0) ** guide) * (omega0 / 2.0) * oc.wavelength_mm / (2.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class LatticeRecipe:
     """Per-guide fabrication table for an N-guide array.

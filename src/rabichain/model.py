@@ -69,14 +69,23 @@ class RabiParams:
     n_trunc: int
 
     def __post_init__(self):
+        # messages start with the field name; parse_config prefixes them with "model."
         if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if self.g < 0:
-            raise ValueError(f"g must be >= 0, got {self.g}")
+            raise ValueError(f"omega: must be > 0, got {self.omega}")
+        if not self.g >= 0:
+            raise ValueError(f"g: must be >= 0, got {self.g}")
         if self.n_trunc < 2:
-            raise ValueError(f"n_trunc must be >= 2, got {self.n_trunc}")
-        if not (math.isfinite(self.g / self.omega) and math.isfinite(self.omega0 / self.omega)):
-            raise ValueError("g/omega and omega0/omega must be finite")
+            raise ValueError(f"n_trunc: must be >= 2, got {self.n_trunc}")
+        for name, ratio in (("g/omega", self.g / self.omega),
+                            ("omega0/omega", self.omega0 / self.omega)):
+            if not math.isfinite(ratio):
+                raise ValueError(f"{name}: must be finite, got {ratio}")
+        top = self.n_trunc - 1   # the chain entries of the last site are the largest
+        if not math.isfinite(abs(self.omega0) + top * self.omega + self.g * math.sqrt(top)):
+            raise ValueError(
+                f"n_trunc: the chain entries at site {top} overflow "
+                f"(omega0 = {self.omega0}, omega = {self.omega}, g = {self.g})"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ class FullState:
         amp_e = _readonly_complex(amp_e, "amp_e")
         amp_g = _readonly_complex(amp_g, "amp_g", n_trunc=amp_e.shape[0])
         norm_sq = float(np.sum(np.abs(amp_e) ** 2) + np.sum(np.abs(amp_g) ** 2))
-        if abs(norm_sq - 1.0) > norm_tol:
+        if not abs(norm_sq - 1.0) <= norm_tol:   # a NaN norm fails too
             raise ValueError(
                 f"state not normalized: sum |a_n|^2 + |b_n|^2 = {norm_sq!r} "
                 f"(tolerance {norm_tol})"
@@ -136,7 +145,7 @@ class ChainState:
         if not 0.0 <= weight <= 1.0 + NORM_TOL:
             raise ValueError(f"weight must lie in [0, 1], got {weight!r}")
         got = float(np.sum(np.abs(amp) ** 2))
-        if abs(got - weight) > NORM_TOL:
+        if not abs(got - weight) <= NORM_TOL:
             raise ValueError(
                 f"chain amplitudes carry norm {got!r}, declared weight {weight!r} "
                 f"(tolerance {NORM_TOL})"

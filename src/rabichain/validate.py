@@ -19,6 +19,7 @@ from .dynamics import (
     build_chain,
     chain_reference_state,
     full_rabi_reference,
+    observables,
     run_trajectory,
 )
 from .model import FullState, ParityChain, RabiParams, decompose, recompose
@@ -175,8 +176,7 @@ def check_lf_agreement(tol: float = 1e-6) -> PropertyResult:
     dev_oracle = 0.0
     for t in rng.uniform(0.0, 2.0 * period, 20):
         ref = full_rabi_reference(DSC_PARAMS, initial, float(t))
-        pr_ref = float(np.abs(ref.amp_e[0]) ** 2)
-        n_ref = float(np.sum(np.arange(64) * (np.abs(ref.amp_e) ** 2 + np.abs(ref.amp_g) ** 2)))
+        _, _, pr_ref, n_ref = observables(ref.amp_e, ref.amp_g, initial)
         dev_oracle = max(
             dev_oracle,
             abs(pr_ref - float(analytic.lf_revival(DSC_PARAMS, float(t)))),
@@ -197,7 +197,7 @@ def check_periodicity(tol: float = 0.99) -> PropertyResult:
     values = []
     for k in (1, 2, 3):
         evolved = chain_reference_state(params, initial, k * period)
-        values.append(float(np.abs(evolved.amp_e[0]) ** 2))
+        values.append(float(observables(evolved.amp_e, evolved.amp_g, initial)[2]))
     ok = all(v > tol for v in values)
     return PropertyResult(
         "periodicity P_r(kT) > 0.99, k = 1..3", ok,

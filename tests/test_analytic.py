@@ -11,7 +11,6 @@ import pytest
 
 from rabichain.analytic import (
     ClosedFormDomainError,
-    LangFirsovSolution,
     jc_population,
     lf_mean_photon,
     lf_period,
@@ -19,18 +18,12 @@ from rabichain.analytic import (
 )
 from rabichain.dynamics import (
     full_rabi_reference,
-    mean_photon_number,
+    observables,
     run_trajectory,
 )
 from rabichain.model import FullState, RabiParams
 
 DSC = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=64)
-
-
-def test_solution_fields():
-    sol = LangFirsovSolution.from_params(DSC)
-    assert sol.beta == pytest.approx(0.15 / 0.23, abs=1e-15)
-    assert sol.period * DSC.omega == pytest.approx(2 * np.pi, rel=1e-15)
 
 
 def test_period_at_device_frequency():
@@ -77,7 +70,8 @@ def test_closed_forms_against_brute_force_oracle():
         ref = full_rabi_reference(DSC, initial, float(t))
         pr_ref = float(np.abs(ref.amp_e[0]) ** 2)
         assert abs(pr_ref - float(lf_revival(DSC, t))) < 1e-6
-        assert abs(mean_photon_number(ref) - float(lf_mean_photon(DSC, t))) < 1e-6
+        mean_n = observables(ref.amp_e, ref.amp_g, initial)[3]
+        assert abs(mean_n - float(lf_mean_photon(DSC, t))) < 1e-6
 
 
 def test_periodicity_property():

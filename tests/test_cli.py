@@ -2,14 +2,21 @@
 
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rabichain import analytic, cli, validate
+from rabichain import analytic, cli, dynamics, validate
 from rabichain.cli import main
+from rabichain.dynamics import grid_points
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
 from rabichain.model import RabiParams
+from test_dynamics import perturbed_eigh_tridiagonal
 
 DSC_CONFIG = """
 [model]
@@ -188,7 +195,7 @@ def test_non_finite_config_value_exits_1_naming_the_key(tmp_path, capsys, line, 
 
 
 def _refuse_to_run(*args, **kwargs):
-    raise AssertionError("run_trajectory reached: the grid was not checked first")
+    raise AssertionError("run_trajectory reached: the input was not checked first")
 
 
 SWEEP_ARGS = ["--omega0-list=0.1,-0.1"]
@@ -235,6 +242,106 @@ def test_step_longer_than_grid_exits_1(tmp_path, capsys, monkeypatch, command, g
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "line, bad, key",
+    [
+        ("initial = e0", "initial_e = 1, nan", "model.initial_e/initial_g"),
+        ("omega0 = 0", "omega0 = 1e308", "model.omega0/omega"),
+        ("g = 0.15", "g = 1e308", "model.g/omega"),
+        ("omega = 0.23", "omega = 1e-320", "model.g/omega"),
+        ("n_trunc = 64", "n_trunc = 1000000000000", "model.n_trunc"),
+    ],
+)
+def test_overflowing_model_value_exits_1_naming_the_key(
+    tmp_path, capsys, monkeypatch, line, bad, key
+):
+    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(DSC_CONFIG.replace(line, bad))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+def test_sweep_overflowing_omega0_exits_1_before_any_point_runs(
+    config_path, tmp_path, capsys, monkeypatch, value
+):
+    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    rc = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"),
+               f"--omega0-list=0.1,{value}"])
+    assert rc == 1
+    assert "config error: --omega0-list: value " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_working_set_beyond_memory_exits_1_although_the_map_fits(
+    config_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    map_bytes = 8 * 601 * 64   # DSC_CONFIG: 601 points x 64 sites
+    need = cli._run_bytes(64, 601)
+    assert need > 3 * map_bytes
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: (map_bytes + need) / 2)
+    rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_memory_check_counts_the_points_that_run_at_once(
+    config_path, tmp_path, capsys, monkeypatch
+):
+    points = grid_points(2 * np.pi / 0.23, 0.1)   # one bounce period at grid.dt
+    one, two = cli._run_bytes(64, points), cli._run_bytes(64, points, runs=2)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: (one + two) / 2)
+    args = ["sweep", "--config", str(config_path), "--omega0-list=0.1,-0.1"]
+    assert main(args + ["--out", str(tmp_path / "a"), "--jobs", "2"]) == 1
+    assert "for 2 sweep points at once" in capsys.readouterr().err
+    assert main(args + ["--out", str(tmp_path / "b"), "--jobs", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, extra, outputs",
+    [
+        ("simulate", ["--image"], "timeseries, intensity_map"),
+        ("simulate", [], "timeseries"),
+        ("sweep", ["--jobs", "2", "--omega0-list=-0.1,0.05,0.1"], "timeseries"),
+    ],
+)
+def test_memory_estimate_covers_the_measured_peak(tmp_path, command, extra, outputs):
+    # g/omega 3: every site is reached; a two-chain state where the command allows one
+    n, t_max, dt = 96, 40.0, 0.02
+    text = (DSC_CONFIG.replace("g = 0.15", "g = 0.7").replace("n_trunc = 64", f"n_trunc = {n}")
+            .replace("omega0 = 0", "omega0 = 0.1").replace("t_max = 60", f"t_max = {t_max}")
+            .replace("dt = 0.1", f"dt = {dt}")
+            .replace("initial = e0", "initial_e = 0.6\ninitial_g = 0.8"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + f"\n[output]\noutputs = {outputs}\n")
+    tracemalloc.start()
+    try:
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    if command == "sweep":
+        points, runs = grid_points(2 * np.pi / 0.23, dt), 2
+    else:
+        points, runs = grid_points(t_max, dt), 1
+    assert cli._run_bytes(n, points, runs) >= peak
+
+
+@pytest.mark.parametrize("perturb", ["eigenvalue", "eigenvector"])
+def test_eigensolve_out_of_tolerance_exits_2(config_path, tmp_path, capsys, monkeypatch, perturb):
+    monkeypatch.setattr(dynamics, "eigh_tridiagonal", perturbed_eigh_tridiagonal(perturb))
+    rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "out of tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exits_1(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert rc == 1
@@ -273,3 +380,71 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "timeseries.tsv").exists()
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: every input ends in exit code 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+SPECIAL = ["nan", "inf", "-inf", "1e308", "1e-320", "-0", "0", "x1", ""]
+ABSENT = None
+
+# Sane values (and n_trunc 10^12, refused up front) that keep every accepted run at
+# n_trunc <= 33 and <= 51 grid points (simulate t_max / dt <= 5 / 0.1, sweep
+# 2 pi / omega / dt <= 2.51 / 0.05).  One initial state is drawn as a whole,
+# then up to three keys get a SPECIAL value.
+FUZZ_POOLS = {
+    ("model", "omega0"): [ABSENT, "0", "0.5", "-1"],
+    ("model", "omega"): ["2.5", "4"],
+    ("model", "g"): ["0.3", "1"],
+    ("model", "n_trunc"): ["9", "33", "2", "1000000000000", "9", "33"],
+    ("grid", "t_max"): ["1", "5"],
+    ("grid", "dt"): [ABSENT, "0.2", "0.5"],
+    ("design", "n_guides"): ["3", "15", "3"],
+    ("design", "v_max"): ["100", ABSENT],   # the default 14.5 is too slow for omega >= 2.5
+    **{("design", key): [ABSENT, value] for key, value in [
+        ("kappa0", "0.15"), ("gamma", "0.18"), ("d_ref", "14"), ("d_min", "6"),
+        ("d_max", "15"), ("n_eff_base", "1.45"), ("wavelength_nm", "633"),
+        ("radius_mm", "650"), ("dn_dv", "1.5e-5"), ("v_base", "11"), ("v_min", "9.5"),
+    ]},
+}
+FUZZ_INITIAL = [{"initial": "e0"}, {}, {"initial_g": "1"},
+                {"initial_e": "0.6", "initial_g": "0, 0.8j"}, {"initial": "g1"}]
+FUZZ_KEYS = sorted(FUZZ_POOLS) + [("model", k) for k in ("initial", "initial_e", "initial_g")]
+FUZZ_COMMANDS = {
+    "simulate": [[], ["--image"]],
+    "sweep": [["--omega0-list=0.1,-0.1"], ["--omega0-list=0,nan"], ["--omega0-list=1e308"],
+              ["--omega0-list=x"], ["--omega0-list="], ["--omega0-list=0.5", "--jobs", "2"]],
+    "design": [[]],
+}
+
+
+@st.composite
+def fuzzed_runs(draw):
+    values = {key: draw(st.sampled_from(pool)) for key, pool in FUZZ_POOLS.items()}
+    values.update({("model", k): v for k, v in draw(st.sampled_from(FUZZ_INITIAL)).items()})
+    specials = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    for key in draw(st.lists(st.sampled_from(FUZZ_KEYS), min_size=specials,
+                             max_size=specials, unique=True)):
+        values[key] = draw(st.sampled_from(SPECIAL))
+    command = draw(st.sampled_from(list(FUZZ_COMMANDS)))
+    with_design = command == "design" or draw(st.booleans())
+    sections = ["model", "grid"] + (["design"] if with_design else [])
+    text = "".join(
+        f"[{section}]\n" + "".join(
+            f"{k} = {v}\n" for (s, k), v in values.items() if s == section and v is not ABSENT
+        )
+        for section in sections
+    )
+    return text, command, draw(st.sampled_from(FUZZ_COMMANDS[command]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(fuzzed_runs())
+def test_fuzzed_config_ends_in_an_exit_code(run):
+    text, command, extra = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        rc = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out"), *extra])
+    assert rc in (0, 1, 2)

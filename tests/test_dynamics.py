@@ -2,20 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from rabichain import dynamics
 from rabichain.dynamics import (
     DimensionMismatchError,
+    EigendecompositionError,
     _evolve_grid,
     build_chain,
     chain_reference_state,
     full_rabi_matrix,
     full_rabi_reference,
-    mean_photon_number,
-    photon_distribution,
-    population_excited,
-    population_ground,
-    propagate,
-    revival_probability,
+    observables,
     run_trajectory,
 )
 from rabichain.model import (
@@ -24,6 +22,7 @@ from rabichain.model import (
     ParityChain,
     RabiParams,
     decompose,
+    recompose,
 )
 
 DSC = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=64)
@@ -34,6 +33,26 @@ def random_full_state(rng, n_trunc):
     vec = rng.normal(size=4 * n_trunc).view(np.complex128)
     vec /= np.linalg.norm(vec)
     return FullState(vec[:n_trunc], vec[n_trunc:])
+
+
+def photon_distribution(state):
+    return observables(state.amp_e, state.amp_g, state)[0]
+
+
+def population_excited(state):
+    return observables(state.amp_e, state.amp_g, state)[1]
+
+
+def population_ground(state):
+    return 1.0 - population_excited(state)
+
+
+def revival_probability(state, initial):
+    return observables(state.amp_e, state.amp_g, initial)[2]
+
+
+def mean_photon_number(state):
+    return observables(state.amp_e, state.amp_g, state)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +103,31 @@ def test_eigendecomposition_invariants():
     assert np.all(np.diff(h.eigenvalues) >= 0)
 
 
+def perturbed_eigh_tridiagonal(perturb):
+    """eigh_tridiagonal with eigenvalue 3 shifted, or eigenvector 3 stretched, by 1e-6."""
+    def solve(diag, offdiag):
+        evals, evecs = eigh_tridiagonal(diag, offdiag)
+        if perturb == "eigenvalue":
+            evals[3] += 1e-6
+        else:
+            evecs[:, 3] *= 1.0 + 1e-6
+        return evals, evecs
+    return solve
+
+
+@pytest.mark.parametrize(
+    "perturb, message",
+    [
+        ("eigenvalue", r"residual=[1-9]\.\d{3}e-07"),      # |v_3| <= 1 times the 1e-6 shift
+        ("eigenvector", r"orthogonality=2\.000e-06"),     # (1 + 1e-6)^2 - 1
+    ],
+)
+def test_eigensolve_verification_rejects_a_perturbed_solution(monkeypatch, perturb, message):
+    monkeypatch.setattr(dynamics, "eigh_tridiagonal", perturbed_eigh_tridiagonal(perturb))
+    with pytest.raises(EigendecompositionError, match=message):
+        build_chain(DSC, ParityChain.C)
+
+
 # ---------------------------------------------------------------------------
 # propagate
 # ---------------------------------------------------------------------------
@@ -94,38 +138,39 @@ def site_state(n_trunc, site, chain=ParityChain.C):
     return ChainState(amp, chain, 1.0)
 
 
+def propagate(params, psi0, t):
+    """A C-chain state evolved by t through chain_reference_state, as its C-chain part."""
+    empty = ChainState(np.zeros(params.n_trunc), ParityChain.F, 0.0)
+    c, _ = decompose(chain_reference_state(params, recompose(psi0, empty), t))
+    return c
+
+
 def test_zero_distance_is_identity():
-    h = build_chain(DSC, ParityChain.C)
     psi0 = site_state(64, 0)
-    out = propagate(h, psi0, 0.0)
+    out = propagate(DSC, psi0, 0.0)
     assert np.abs(out.amp - psi0.amp).max() < 1e-14
 
 
 def test_uncoupled_evolution_is_pure_phase():
     p = RabiParams(omega0=0.1, omega=0.3, g=0.0, n_trunc=16)
-    h = build_chain(p, ParityChain.C)
     psi0 = site_state(16, 5)
     for t in (0.7, 13.0, 200.0):
-        out = propagate(h, psi0, t)
+        out = propagate(p, psi0, t)
         assert abs(abs(out.amp[5]) - 1.0) < 1e-12
         assert np.abs(out.amp[:5]).max() < 1e-14
 
 
 def test_revival_after_one_period():
     p = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=32)
-    h = build_chain(p, ParityChain.C)
-    out = propagate(h, site_state(32, 0), PERIOD)
+    out = propagate(p, site_state(32, 0), PERIOD)
     assert np.abs(out.amp[0]) ** 2 > 0.99
 
 
 def test_propagate_rejects_mismatches():
-    h = build_chain(DSC, ParityChain.C)
     with pytest.raises(DimensionMismatchError):
-        propagate(h, site_state(32, 0), 1.0)
+        chain_reference_state(DSC, FullState.basis_state("e", 0, 32), 1.0)
     with pytest.raises(ValueError):
-        propagate(h, site_state(64, 0, ParityChain.F), 1.0)
-    with pytest.raises(ValueError):
-        propagate(h, site_state(64, 0), -1.0)
+        chain_reference_state(DSC, FullState.basis_state("e", 0, 64), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +374,7 @@ def test_revival_probability_examples():
     other = FullState.basis_state("g", 3, 8)
     assert revival_probability(other, s) == 0.0
     with pytest.raises(DimensionMismatchError):
-        revival_probability(s, FullState.basis_state("e", 0, 9))
+        revival_probability(FullState.basis_state("e", 0, 9), s)
 
 
 def test_revival_probability_at_half_period():
