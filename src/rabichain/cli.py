@@ -14,15 +14,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, _physical_memory_bytes, load_config
-from .dynamics import (
-    CELL_BYTES,
-    MATRIX_BYTES,
-    EigendecompositionError,
-    grid_points,
-    run_trajectory,
-)
+import numpy as np
+
+from .config import ConfigError, RunConfig, check_memory, load_config
+from .dynamics import EigendecompositionError, grid_points, run_trajectory
 from .lattice import (
+    RECIPE_DEVIATION_TOL,
     CouplingRangeError,
     FabricationError,
     design,
@@ -48,14 +45,6 @@ EXIT_VALIDATION = 3
 SWEEP_DEFAULT_DT = 0.05
 SIMULATE_DEFAULT_DT = 0.1
 
-# Bytes the output phase adds to a run: per map cell, the map's text (17
-# characters and a tab per value) and the PGM raster's float and uint8
-# copies; once, the block being formatted, 2^16 values at most, each held
-# as a float in the block, a Python float in a list and a tuple, and as
-# text twice (the repeated row template and its result).
-OUTPUT_CELL_BYTES = 18 + 16
-FORMAT_BLOCK_BYTES = (8 + 32 + 8 + 18 + 18) * 2**16
-
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit with code 1 here, not argparse's default 2
@@ -64,45 +53,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _run_bytes(n_trunc: int, points: float, runs: int = 1) -> float:
-    """Upper bound on the bytes a command holds at once.
-
-    That is ``runs`` trajectories at once, each with its eigenvector
-    matrices and (points x n_trunc) arrays, plus the output of one
-    intensity map.
-    """
-    cells = points * n_trunc
-    return (runs * (MATRIX_BYTES * n_trunc**2 + CELL_BYTES * cells)
-            + OUTPUT_CELL_BYTES * cells + FORMAT_BLOCK_BYTES)
-
-
-def _check_grid(n_trunc: int, t_max: float, dt: float, grid: str, runs: int = 1) -> None:
+def _check_grid(params: RabiParams, t_max: float, dt: float, grid: str, runs: int = 1) -> None:
     """Raise ConfigError, before anything is allocated, for a grid the run cannot hold.
 
-    That is a step longer than the grid, or a run (:func:`_run_bytes`)
-    that does not fit in physical memory; ``grid`` names the keys that set
-    the grid.
+    That is a step longer than the grid, phases lambda t that overflow
+    (|lambda| is at most the chain's Gershgorin bound), or ``runs`` runs at
+    once past physical memory; ``grid`` names the keys that set the grid.
     """
     if t_max < dt:
         raise ConfigError(f"{grid}: the step is longer than the grid, dt must be <= {t_max!r}")
-    points = grid_points(t_max, dt)
-    need = _run_bytes(n_trunc, points, runs)
-    physical = _physical_memory_bytes()
-    if need > physical:
-        at_once = f" for {runs} sweep points at once" if runs > 1 else ""
+    top = params.n_trunc - 1
+    bound = abs(params.omega0) / 2 + top * params.omega + 2 * params.g * math.sqrt(top)
+    if not math.isfinite(bound * t_max):
         raise ConfigError(
-            f"{grid}: {points:.3g} grid points x n_trunc = {n_trunc}{at_once} need "
-            f"about {need / 2**30:.3g} GiB (a {8.0 * points * n_trunc / 2**30:.3g} GiB "
-            f"intensity map, the complex arrays that propagate it and its text), more "
-            f"than the {physical / 2**30:.3g} GiB of physical memory"
+            f"{grid}: the phases lambda t overflow, |lambda| <= {bound:.6g} mm^-1 "
+            f"at omega0 = {params.omega0!r}"
         )
+    points = grid_points(t_max, dt)
+    at_once = f" for {runs} sweep points at once" if runs > 1 else ""
+    check_memory(f"{grid}: {points:.3g} grid points x n_trunc = {params.n_trunc}{at_once}",
+                 n_trunc=params.n_trunc, points=points, runs=runs)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     dt = cfg.dt if cfg.dt is not None else SIMULATE_DEFAULT_DT
-    _check_grid(
-        cfg.params.n_trunc, cfg.t_max, dt, f"grid.t_max = {cfg.t_max!r}, grid.dt = {dt!r}"
-    )
+    _check_grid(cfg.params, cfg.t_max, dt, f"grid.t_max = {cfg.t_max!r}, grid.dt = {dt!r}")
     traj = run_trajectory(cfg.params, cfg.initial, cfg.t_max, dt)
     if traj.truncation_flagged:
         print(
@@ -141,6 +116,8 @@ def _sweep_point(params: RabiParams, omega0: float, dt: float):
 
 
 def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int) -> int:
+    if jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {jobs}")
     if not omega0_list:
         raise ConfigError("sweep needs a non-empty --omega0-list")
     models = []
@@ -151,17 +128,15 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
             raise ConfigError(f"--omega0-list: value {v!r}: {exc}") from None
     dt = cfg.dt if cfg.dt is not None else SWEEP_DEFAULT_DT
     t_bounce = 2.0 * math.pi / cfg.params.omega
+    runs = min(jobs, len(models))
     _check_grid(
-        cfg.params.n_trunc, t_bounce, dt,
+        max(models, key=lambda p: p.omega0), t_bounce, dt,   # the largest |omega0| bounds every point
         f"grid.dt = {dt!r} over one bounce period 2*pi/omega = {t_bounce:.6g} mm "
         f"(sweep does not read grid.t_max)",
-        runs=min(jobs, len(models)) if jobs > 1 else 1,
+        runs=runs,
     )
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda p, v: _sweep_point(p, v, dt), models, omega0_list))
-    else:
-        rows = [_sweep_point(p, v, dt) for p, v in zip(models, omega0_list)]
+    with ThreadPoolExecutor(max_workers=runs) as pool:
+        rows = list(pool.map(lambda p, v: _sweep_point(p, v, dt), models, omega0_list))
     write_text(out_dir / "sweep.tsv", sweep_summary_text(rows))
     return EXIT_OK
 
@@ -169,8 +144,19 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
 def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.design is None:
         raise ConfigError("design command needs a [design] section in the config")
-    recipe = design(cfg.params, cfg.design.calibration, cfg.design.optics, cfg.design.n_guides)
-    report = verify_recipe(recipe, cfg.params, cfg.design.calibration, cfg.design.optics)
+    # extreme design constants can overflow the recipe arithmetic: that is an error, not a warning
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            recipe = design(cfg.params, cfg.design.calibration, cfg.design.optics,
+                            cfg.design.n_guides)
+            report = verify_recipe(recipe, cfg.params, cfg.design.calibration, cfg.design.optics)
+        except FloatingPointError as exc:
+            raise FabricationError(f"the recipe arithmetic fails: {exc}") from None
+    if not report.max_rel_deviation <= RECIPE_DEVIATION_TOL:   # nan fails too
+        raise FabricationError(
+            f"the recipe misses its targets: max relative deviation "
+            f"{report.max_rel_deviation:.6e}, bound {RECIPE_DEVIATION_TOL:.0e}"
+        )
     write_text(out_dir / "recipe.tsv", format_recipe(recipe))
     write_text(out_dir / "recipe_report.txt", report.to_text())
     return EXIT_OK
@@ -197,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--omega0-list", required=True,
                 help="comma-separated signed omega0 values, mm^-1",
             )
-            p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+            p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers, >= 1")
 
     sub.add_parser("validate")
     return parser

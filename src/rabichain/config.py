@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MATRIX_BYTES
 from .lattice import CouplingCalibration, OpticalConstants
 from .model import FullState, RabiParams
 
-OUTPUT_KINDS = ("timeseries", "intensity_map", "recipe")
+OUTPUT_KINDS = ("timeseries", "intensity_map")
 
 _MODEL_KEYS = {"omega0", "omega", "g", "n_trunc", "initial", "initial_e", "initial_g"}
 _GRID_KEYS = {"t_max", "dt"}
@@ -40,11 +39,60 @@ class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
+# Upper bounds on the bytes a command holds at once, counted from the code.
+#
+# run_trajectory, per n_trunc^2 and per grid cell (point x site), for two
+# occupied chains that reach every site.  Per n_trunc^2: the two chains' float
+# eigenvector matrices (16), plus either build_chain's three float
+# verification temporaries (24) or an evolving chain's complex copy of V and
+# its live columns (24).  Per cell: the complex right-hand side, its two
+# complex phase temporaries and the other chain's complex product (64;
+# amp_e/amp_g and the observables hold no more), then the float map P(n, t)
+# that is returned (8).
+MATRIX_BYTES = 48
+CELL_BYTES = 72
+# The output phase of simulate: per map cell, the map's text (17 characters
+# and a tab per value) and the PGM raster's float and uint8 copies; once, the
+# block being formatted, 2^16 values at most, each held as a float in the
+# block, a Python float in a list and a tuple, and as text twice (the
+# repeated row template and its result).
+OUTPUT_CELL_BYTES = 18 + 16
+FORMAT_BLOCK_BYTES = (8 + 32 + 8 + 18 + 18) * 2**16
+# design, per guide.  Arrays: lattice.design's 13 float arrays while the
+# recipe copies 7 of them (160), then the recipe and the report's 9 arrays
+# (128) with verify_recipe's list of Python floats and temporaries (64).
+# Text, with the recipe and report held: a table is a list of row strings
+# (row length + 57 each), their join and its encoding, 3 x row length + 57.
+# recipe.tsv rows are at most 8 fields of 20 characters (160); the report's
+# rows, which set the figure, at most 710 (two fixed-point fields of 317).
+GUIDE_BYTES = 128 + 3 * 710 + 57
+
+
 def _physical_memory_bytes() -> float:
     try:
         return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):  # no sysconf: nothing to check against
         return math.inf
+
+
+def check_memory(
+    key: str, n_trunc: int = 0, points: float = 0, runs: int = 1, n_guides: int = 0
+) -> float:
+    """Bytes held at once by ``runs`` trajectories on ``points`` grid points, or by a design.
+
+    Raises ConfigError naming ``key`` when they exceed physical memory; call
+    it before anything of that size is allocated.
+    """
+    # floats: a count past 2^64 is refused all the same, a negative one elsewhere
+    n, guides = (float(min(max(count, 0), 2**64)) for count in (n_trunc, n_guides))
+    cells = points * n
+    need = (runs * (MATRIX_BYTES * n * n + CELL_BYTES * cells) + GUIDE_BYTES * guides
+            + (OUTPUT_CELL_BYTES * cells + FORMAT_BLOCK_BYTES if points else 0))
+    physical = _physical_memory_bytes()
+    if need > physical:
+        raise ConfigError(f"{key}: the run needs about {need / 2**30:.3g} GiB, more than "
+                          f"the {physical / 2**30:.3g} GiB of physical memory")
+    return need
 
 
 @dataclass(frozen=True)
@@ -158,12 +206,7 @@ def parse_config(text: str) -> RunConfig:
     g = _float("model", "g", model["g"])
     n_trunc = _int("model", "n_trunc", model["n_trunc"])
     omega0 = _float("model", "omega0", model.get("omega0", "0"))
-    physical = _physical_memory_bytes()
-    if MATRIX_BYTES * n_trunc**2 > physical:   # exact for any int, before n_trunc-sized arrays exist
-        raise ConfigError(
-            f"model.n_trunc: {n_trunc} sites need n_trunc x n_trunc eigenvector matrices "
-            f"larger than the {physical / 2**30:.3g} GiB of physical memory"
-        )
+    check_memory("model.n_trunc", n_trunc=n_trunc)
     try:
         params = RabiParams(omega0=omega0, omega=omega, g=g, n_trunc=n_trunc)
     except ValueError as exc:
@@ -194,7 +237,7 @@ def parse_config(text: str) -> RunConfig:
                 )
         outputs = frozenset(kinds)
     else:
-        outputs = frozenset({"timeseries", "intensity_map"})
+        outputs = frozenset(OUTPUT_KINDS)
     output_dir = Path(out.get("dir", "out"))
 
     design = None
@@ -205,6 +248,7 @@ def parse_config(text: str) -> RunConfig:
         n_guides = _int("design", "n_guides", d["n_guides"])
         if n_guides < 2:
             raise ConfigError(f"design.n_guides: must be >= 2, got {n_guides}")
+        check_memory("design.n_guides", n_guides=n_guides)
         try:
             cal = _with_design_keys(CouplingCalibration.default(), d)
             oc = _with_design_keys(OpticalConstants(), d)

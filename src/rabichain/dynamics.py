@@ -63,18 +63,6 @@ DECOMPOSITION_TOL = 1e-10     # residual / orthogonality bound on the eigensolve
 TRUNCATION_OCCUPANCY = 1e-8   # top-two-site occupancy that flags a trajectory
 FULL_RABI_MAX_TRUNC = 256     # the dense oracle is O((2 n_trunc)^3)
 
-# Upper bound on the bytes run_trajectory holds at once, per n_trunc^2 and
-# per grid cell (point x site), counted from the code below for two occupied
-# chains that reach every site.  Per n_trunc^2: the two chains' float
-# eigenvector matrices (16), plus either build_chain's three float
-# verification temporaries (24) or an evolving chain's complex copy of V and
-# its live columns (24).  Per cell: the complex right-hand side, its two
-# complex phase temporaries and the other chain's complex product (64;
-# amp_e/amp_g and the observables hold no more), then the float map
-# P(n, t) that is returned (8).
-MATRIX_BYTES = 48
-CELL_BYTES = 72
-
 
 class EigendecompositionError(RuntimeError):
     """Eigensolver output failed its residual or orthogonality bound."""
@@ -101,14 +89,6 @@ class ChainHamiltonian:
     @property
     def n_trunc(self) -> int:
         return self.diag.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        """Dense copy of the tridiagonal matrix (small sizes only)."""
-        return (
-            np.diag(self.diag)
-            + np.diag(self.offdiag, 1)
-            + np.diag(self.offdiag, -1)
-        )
 
     def apply(self, amp: np.ndarray) -> np.ndarray:
         """Tridiagonal product H @ amp for amp of shape (n_trunc,) or (n_trunc, k)."""
@@ -215,7 +195,7 @@ class Trajectory:
     """Time-gridded record of a propagated state and its observables.
 
     pnt[k, n] is the photon-number distribution P(n, t_k); p_e, p_r and
-    mean_n are per-grid-point scalars.  ``truncation_flagged`` is set when
+    mean_n are per-grid-point scalars.  ``truncation_flagged`` is true when
     the occupancy of the two topmost sites exceeds 1e-8 anywhere on the
     grid (run is reported, not aborted: finite arrays are a physical
     feature of the 15-guide device).  The state at a grid time is rebuilt
@@ -227,13 +207,16 @@ class Trajectory:
     p_e: np.ndarray
     p_r: np.ndarray
     mean_n: np.ndarray
-    truncation_flagged: bool
     top_site_occupancy: float
     spectra: dict[ParityChain, _ChainSpectrum]   # non-empty chains only
 
     @property
     def p_g(self) -> np.ndarray:
         return 1.0 - self.p_e
+
+    @property
+    def truncation_flagged(self) -> bool:
+        return self.top_site_occupancy > TRUNCATION_OCCUPANCY
 
     def state(self, k: int) -> FullState:
         """Full state at grid time t_grid[k] (negative k counts from the end), O(n_trunc^2)."""
@@ -311,16 +294,8 @@ def run_trajectory(
     pnt[:, :reach] = pop.T
 
     top = float(pnt[:, -2:].max()) if n >= 2 else 0.0
-    return Trajectory(
-        t_grid=t_grid,
-        pnt=pnt,
-        p_e=p_e,
-        p_r=p_r,
-        mean_n=mean_n,
-        truncation_flagged=top > TRUNCATION_OCCUPANCY,
-        top_site_occupancy=top,
-        spectra=spectra,
-    )
+    return Trajectory(t_grid=t_grid, pnt=pnt, p_e=p_e, p_r=p_r, mean_n=mean_n,
+                      top_site_occupancy=top, spectra=spectra)
 
 
 def chain_reference_state(params: RabiParams, initial: FullState, t: float) -> FullState:

@@ -25,11 +25,13 @@ Design chain:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .model import RabiParams, coupling
+
+RECIPE_DEVIATION_TOL = 1e-6   # max relative deviation of a recipe that `design` writes
 
 
 class CouplingRangeError(ValueError):
@@ -70,13 +72,19 @@ class CouplingCalibration:
         """Coupling at spacing d (um) -> mm^-1."""
         return self.kappa0 * np.exp(-self.gamma * (np.asarray(d_um) - self.d_ref))
 
+    def _window_end(self, d_um: float) -> float:
+        # kappa(d) in Python floats, inf past exp's range: an extreme window end is inf or
+        # 0.0, with no numpy overflow warning
+        exponent = -self.gamma * (d_um - self.d_ref)
+        return self.kappa0 * float(np.exp(exponent)) if exponent <= 709.78 else math.inf
+
     @property
     def kappa_min(self) -> float:
-        return float(self.kappa(self.d_max))
+        return self._window_end(self.d_max)
 
     @property
     def kappa_max(self) -> float:
-        return float(self.kappa(self.d_min))
+        return self._window_end(self.d_min)
 
     @classmethod
     def default(cls) -> "CouplingCalibration":
@@ -125,7 +133,7 @@ class OpticalConstants:
 
 def spacing_for_coupling(cal: CouplingCalibration, kappa: float) -> float:
     """Invert the calibration: spacing (um) that realizes a coupling (mm^-1)."""
-    if kappa < cal.kappa_min:
+    if kappa < cal.kappa_min or kappa <= 0:   # no finite spacing gives a zero coupling
         raise CouplingRangeError(
             f"kappa = {kappa!r} mm^-1 below weakest achievable "
             f"{cal.kappa_min!r} mm^-1 (at d_max = {cal.d_max} um)"
@@ -175,17 +183,14 @@ class LatticeRecipe:
     achieved_detuning: np.ndarray
 
     def __post_init__(self):
-        for name in (
-            "position_um", "spacing_um", "delta_n_eff", "writing_speed",
-            "achieved_kappa", "achieved_omega", "achieved_detuning",
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+        for f in fields(self)[1:]:   # the per-guide arrays, in RECIPE_COLUMNS order
+            arr = np.asarray(getattr(self, f.name), dtype=float).copy()
             if arr.shape != (self.n_guides,):
                 raise ValueError(
-                    f"{name} must have shape ({self.n_guides},), got {arr.shape}"
+                    f"{f.name} must have shape ({self.n_guides},), got {arr.shape}"
                 )
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, f.name, arr)
 
 
 RECIPE_COLUMNS = (
@@ -275,7 +280,6 @@ class RecipeReport:
     target_kappa: np.ndarray
     achieved_kappa: np.ndarray
     kappa_rel_dev: np.ndarray
-    target_omega: float
     achieved_omega: np.ndarray
     omega_rel_dev: np.ndarray
     uncompensated_omega: np.ndarray
@@ -356,7 +360,6 @@ def verify_recipe(
         target_kappa=target_kappa,
         achieved_kappa=achieved_kappa,
         kappa_rel_dev=kappa_rel_dev,
-        target_omega=params.omega,
         achieved_omega=achieved_omega,
         omega_rel_dev=omega_rel_dev,
         uncompensated_omega=omega_bare,
@@ -378,22 +381,10 @@ def _fmt(x: float) -> str:
 
 
 def format_recipe(recipe: LatticeRecipe) -> str:
+    columns = [getattr(recipe, f.name) for f in fields(recipe)[1:]]
     lines = ["\t".join(RECIPE_COLUMNS)]
     for n in range(recipe.n_guides):
-        lines.append(
-            "\t".join(
-                [
-                    str(n),
-                    _fmt(recipe.position_um[n]),
-                    _fmt(recipe.spacing_um[n]),
-                    _fmt(recipe.delta_n_eff[n]),
-                    _fmt(recipe.writing_speed[n]),
-                    _fmt(recipe.achieved_kappa[n]),
-                    _fmt(recipe.achieved_omega[n]),
-                    _fmt(recipe.achieved_detuning[n]),
-                ]
-            )
-        )
+        lines.append("\t".join([str(n)] + [_fmt(column[n]) for column in columns]))
     return "\n".join(lines) + "\n"
 
 
@@ -412,13 +403,4 @@ def parse_recipe(text: str) -> LatticeRecipe:
         for name, value in zip(RECIPE_COLUMNS[1:], row[1:]):
             if value:
                 cols[name][i] = float(value)
-    return LatticeRecipe(
-        n_guides=n_guides,
-        position_um=cols["position_um"],
-        spacing_um=cols["spacing_um"],
-        delta_n_eff=cols["delta_n_eff"],
-        writing_speed=cols["writing_speed_mm_s"],
-        achieved_kappa=cols["achieved_kappa_mm1"],
-        achieved_omega=cols["achieved_omega_mm1"],
-        achieved_detuning=cols["achieved_detuning_mm1"],
-    )
+    return LatticeRecipe(n_guides, *cols.values())   # the columns in field order

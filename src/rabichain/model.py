@@ -102,6 +102,14 @@ class FullState:
     def __init__(self, amp_e, amp_g, *, norm_tol: float = NORM_TOL):
         amp_e = _readonly_complex(amp_e, "amp_e")
         amp_g = _readonly_complex(amp_g, "amp_g", n_trunc=amp_e.shape[0])
+        # no part of a normalized amplitude exceeds 1; checked before squaring, which
+        # would overflow, and a nan or inf fails it too
+        part = np.abs(np.concatenate([amp_e, amp_g]).view(float))
+        if not np.all(part <= math.sqrt(1.0 + norm_tol)):
+            raise ValueError(
+                f"state not normalized: an amplitude has a part of magnitude "
+                f"{part.max()!r}, or one that is not finite"
+            )
         norm_sq = float(np.sum(np.abs(amp_e) ** 2) + np.sum(np.abs(amp_g) ** 2))
         if not abs(norm_sq - 1.0) <= norm_tol:   # a NaN norm fails too
             raise ValueError(

@@ -99,8 +99,9 @@ def test_outputs_whitelist():
     ok = parse_config(MINIMAL + "\n[output]\noutputs = timeseries\ndir = x\n")
     assert ok.outputs == {"timeseries"}
     assert str(ok.output_dir) == "x"
-    with pytest.raises(ConfigError, match="plots"):
-        parse_config(MINIMAL + "\n[output]\noutputs = plots\n")
+    for kind in ("plots", "recipe"):   # design writes its recipe whatever outputs says
+        with pytest.raises(ConfigError, match=f"unknown kind '{kind}'"):
+            parse_config(MINIMAL + f"\n[output]\noutputs = timeseries, {kind}\n")
 
 
 def test_design_section_defaults_and_overrides():

@@ -93,10 +93,15 @@ def test_sign_symmetry_between_chains(omega0):
     assert np.array_equal(hf.offdiag, hc.offdiag)
 
 
+def dense_matrix(h):
+    """Dense copy of a chain's tridiagonal matrix (small sizes only)."""
+    return np.diag(h.diag) + np.diag(h.offdiag, 1) + np.diag(h.offdiag, -1)
+
+
 def test_eigendecomposition_invariants():
     p = RabiParams(omega0=-0.08, omega=0.23, g=0.15, n_trunc=64)
     h = build_chain(p, ParityChain.F)
-    m = h.matrix()
+    m = dense_matrix(h)
     scale = np.abs(m).max()
     assert np.abs(m @ h.eigenvectors - h.eigenvectors * h.eigenvalues).max() < 1e-10 * scale
     assert np.abs(h.eigenvectors.T @ h.eigenvectors - np.eye(64)).max() < 1e-10

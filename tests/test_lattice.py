@@ -36,6 +36,23 @@ def test_default_calibration_anchors():
     assert np.all(np.diff(CAL.kappa(d)) < 0)
 
 
+def test_calibration_window_past_the_float_range_is_zero_to_inf():
+    # kappa_max = kappa0 exp(8e308) and kappa_min = kappa0 exp(-1e308), with no overflow warning
+    cal = CouplingCalibration(kappa0=0.15, gamma=1e308, d_ref=14.0, d_min=6.0, d_max=15.0)
+    assert cal.kappa_min == 0.0
+    assert cal.kappa_max == np.inf
+    assert CAL.kappa_max == float(CAL.kappa(CAL.d_min))
+    assert CAL.kappa_min == float(CAL.kappa(CAL.d_max))
+
+
+def test_zero_coupling_is_out_of_range_when_the_window_reaches_zero():
+    # kappa(1e308 um) underflows to 0.0: a zero target is not below it, and has no spacing
+    cal = CouplingCalibration(kappa0=0.15, gamma=0.18, d_ref=14.0, d_min=6.0, d_max=1e308)
+    assert cal.kappa_min == 0.0
+    with pytest.raises(CouplingRangeError, match="below weakest achievable"):
+        spacing_for_coupling(cal, 0.0)
+
+
 def test_spacing_for_weakest_target_coupling():
     assert spacing_for_coupling(CAL, 0.15) == pytest.approx(14.0, abs=1e-12)
 

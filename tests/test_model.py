@@ -100,6 +100,15 @@ def test_full_state_rejects_bad_norm():
         FullState(amp, np.zeros(8))
 
 
+@pytest.mark.parametrize("value", [1e308, 1e308j, 1.5, np.nan, np.inf])
+def test_full_state_rejects_an_amplitude_no_normalized_state_has(value):
+    # refused before squaring: 1e308 would overflow, a RuntimeWarning under pytest's filter
+    amp = np.zeros(8, dtype=complex)
+    amp[3] = value
+    with pytest.raises(ValueError, match="not normalized"):
+        FullState(amp, np.zeros(8))
+
+
 def test_full_state_rejects_length_mismatch():
     with pytest.raises(ValueError):
         FullState(np.zeros(8), np.zeros(7))
