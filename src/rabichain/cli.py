@@ -76,6 +76,8 @@ def _check_grid(params: RabiParams, t_max: float, dt: float, grid: str, runs: in
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
+    if cfg.t_max is None:
+        raise ConfigError("grid.t_max is required by simulate")
     dt = cfg.dt if cfg.dt is not None else SIMULATE_DEFAULT_DT
     _check_grid(cfg.params, cfg.t_max, dt, f"grid.t_max = {cfg.t_max!r}, grid.dt = {dt!r}")
     traj = run_trajectory(cfg.params, cfg.initial, cfg.t_max, dt)

@@ -106,7 +106,7 @@ class DesignConfig:
 class RunConfig:
     params: RabiParams
     initial: FullState
-    t_max: float
+    t_max: float | None           # None: not set, which only simulate refuses
     dt: float | None              # None: command-specific default applies
     outputs: frozenset[str]
     output_dir: Path
@@ -213,19 +213,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"model.{exc}") from None
     initial = _build_initial(model, params)
 
+    # both optional here: each command checks the grid it runs (cli._check_grid)
     grid = dict(parser["grid"]) if parser.has_section("grid") else {}
-    if "t_max" not in grid:
-        raise ConfigError("grid.t_max is required")
-    t_max = _float("grid", "t_max", grid["t_max"])
-    if not t_max > 0:
-        raise ConfigError(f"grid.t_max: must be > 0, got {t_max}")
-    dt = None
-    if "dt" in grid:
-        dt = _float("grid", "dt", grid["dt"])
-        if not dt > 0:
-            raise ConfigError(f"grid.dt: must be > 0, got {dt}")
-        if t_max < dt:
-            raise ConfigError(f"grid.t_max: must be >= dt, got t_max={t_max}, dt={dt}")
+    steps = {}
+    for key in ("t_max", "dt"):
+        if key in grid:
+            value = steps[key] = _float("grid", key, grid[key])
+            if not value > 0:
+                raise ConfigError(f"grid.{key}: must be > 0, got {value}")
 
     out = dict(parser["output"]) if parser.has_section("output") else {}
     if "outputs" in out:
@@ -259,8 +254,8 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         params=params,
         initial=initial,
-        t_max=t_max,
-        dt=dt,
+        t_max=steps.get("t_max"),
+        dt=steps.get("dt"),
         outputs=outputs,
         output_dir=output_dir,
         design=design,

@@ -13,14 +13,15 @@ are propagated exactly through the spectral decomposition
 with no step error; the requested time grid is purely an output-sampling
 grid.
 
-There is one propagation path with two front-ends.  Both decompose the
-initial state and build each non-empty chain with its coefficients
-V^T psi(0) (``_spectra``), and both evolve a chain with ``_evolve_grid``.
-:func:`run_trajectory` evolves over the whole time grid at once;
-:func:`chain_reference_state` and :meth:`Trajectory.state` evolve to one
-time and recompose the full state (``_state_at``).  The observables P(n),
-P_e, P_r and <n> have one implementation, :func:`observables`, for the
-amplitudes of one state, shape (n,), or of a time grid, shape (n, nt).
+There is one propagation path, ``_amplitudes``.  It decomposes the
+initial state, builds each non-empty chain, evolves it over a time grid
+with ``_evolve_grid`` and writes the chain sites back onto the qubit
+branches, a_n and b_n; it is the only code here that maps chain sites
+onto the branches.  :func:`run_trajectory` runs it over the whole output grid
+and :func:`chain_reference_state` over the one-point grid {t}.  The
+observables P(n), P_e, P_r and <n> have one implementation,
+:func:`observables`, for the amplitudes of one state, shape (n,), or of
+a time grid, shape (n, nt).
 
 Only the live eigencomponents, those with a nonzero coefficient
 c_k = (V^T psi(0))_k, get a phase factor; the other rows of the phase
@@ -50,13 +51,13 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from .model import (
-    ChainState,
+    NORM_TOL,
+    RECOMPOSE_WEIGHT_TOL,
     FullState,
     ParityChain,
     RabiParams,
     coupling_ladder,
     decompose,
-    recompose,
 )
 
 DECOMPOSITION_TOL = 1e-10     # residual / orthogonality bound on the eigensolve
@@ -154,40 +155,29 @@ def _evolve_grid(h: ChainHamiltonian, coeffs: np.ndarray, t_grid: np.ndarray) ->
     return h.eigenvectors[:reach] @ rhs
 
 
-@dataclass(frozen=True)
-class _ChainSpectrum:
-    """A non-empty chain of a trajectory: its Hamiltonian, V^T psi(0) and its weight."""
+def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
+    """Amplitudes a_n, b_n at every time of ``t_grid`` on the sites either chain reaches.
 
-    hamiltonian: ChainHamiltonian
-    coeffs: np.ndarray
-    weight: float
-
-
-def _spectra(params: RabiParams, initial: FullState) -> dict[ParityChain, _ChainSpectrum]:
-    """Decompose the initial state; build each non-empty chain and its coefficients V^T psi(0)."""
+    Returns (amp_e, amp_g), each of shape (reach, len(t_grid)); every site
+    past reach is exactly empty (module docstring).  The C chain holds a_n
+    on even sites and b_n on odd ones, the F chain the reverse.
+    """
     if initial.n_trunc != params.n_trunc:
         raise DimensionMismatchError(
             f"initial state has {initial.n_trunc} sites, params.n_trunc={params.n_trunc}"
         )
-    spectra = {}
+    amps = {}
     for part in decompose(initial):
         if part.weight != 0.0:
             h = build_chain(params, part.chain)
-            spectra[part.chain] = _ChainSpectrum(h, h.eigenvectors.T @ part.amp, part.weight)
-    return spectra
-
-
-def _state_at(spectra: dict[ParityChain, _ChainSpectrum], n_trunc: int, t: float) -> FullState:
-    """Evolve each chain to time t, zero past its reach, and recompose the full state."""
-    parts = []
-    for chain in ParityChain:
-        amp = np.zeros(n_trunc, dtype=complex)
-        spec = spectra.get(chain)
-        if spec is not None:
-            reached = _evolve_grid(spec.hamiltonian, spec.coeffs, np.array([t]))[:, 0]
-            amp[:reached.shape[0]] = reached
-        parts.append(ChainState(amp, chain, 0.0 if spec is None else spec.weight))
-    return recompose(*parts)
+            amps[part.chain] = _evolve_grid(h, h.eigenvectors.T @ part.amp, t_grid)
+    reach = max(amp.shape[0] for amp in amps.values())
+    amp_e, amp_g = np.zeros((2, reach, t_grid.shape[0]), dtype=complex)
+    for chain, amp in amps.items():
+        on_e = 0 if chain is ParityChain.C else 1
+        amp_e[on_e:amp.shape[0]:2] = amp[on_e::2]
+        amp_g[1 - on_e:amp.shape[0]:2] = amp[1 - on_e::2]
+    return amp_e, amp_g
 
 
 @dataclass
@@ -198,8 +188,9 @@ class Trajectory:
     mean_n are per-grid-point scalars.  ``truncation_flagged`` is true when
     the occupancy of the two topmost sites exceeds 1e-8 anywhere on the
     grid (run is reported, not aborted: finite arrays are a physical
-    feature of the 15-guide device).  The state at a grid time is rebuilt
-    on demand by :meth:`state`.
+    feature of the 15-guide device).  No state is kept:
+    ``chain_reference_state(params, initial, t_grid[k])`` gives the state
+    at a grid time.
     """
 
     t_grid: np.ndarray
@@ -208,7 +199,6 @@ class Trajectory:
     p_r: np.ndarray
     mean_n: np.ndarray
     top_site_occupancy: float
-    spectra: dict[ParityChain, _ChainSpectrum]   # non-empty chains only
 
     @property
     def p_g(self) -> np.ndarray:
@@ -217,10 +207,6 @@ class Trajectory:
     @property
     def truncation_flagged(self) -> bool:
         return self.top_site_occupancy > TRUNCATION_OCCUPANCY
-
-    def state(self, k: int) -> FullState:
-        """Full state at grid time t_grid[k] (negative k counts from the end), O(n_trunc^2)."""
-        return _state_at(self.spectra, self.pnt.shape[1], float(self.t_grid[k]))
 
 
 def grid_points(t_max: float, dt: float) -> float:
@@ -254,9 +240,7 @@ def observables(amp_e: np.ndarray, amp_g: np.ndarray, initial: FullState):
     return pop, p_e, p_r, mean_n
 
 
-def run_trajectory(
-    params: RabiParams, initial: FullState, t_max: float, dt: float
-) -> Trajectory:
+def run_trajectory(params: RabiParams, initial: FullState, t_max: float, dt: float) -> Trajectory:
     """Propagate on the grid {0, dt, 2 dt, ..., t_max} and record observables.
 
     Each non-empty parity chain is evolved independently with its cached
@@ -267,42 +251,29 @@ def run_trajectory(
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_max < dt:
         raise ValueError(f"t_max must be >= dt, got t_max={t_max}, dt={dt}")
-    spectra = _spectra(params, initial)
-
     t_grid = np.arange(grid_points(t_max, dt)) * dt
-    n = params.n_trunc
-    nt = t_grid.shape[0]
-    amps = {
-        chain: _evolve_grid(spec.hamiltonian, spec.coeffs, t_grid)
-        for chain, spec in spectra.items()
-    }
-
-    # Observables on the sites either chain reaches; every site past them is
-    # exactly empty.  The C chain holds a_n on even sites and b_n on odd ones,
-    # the F chain the reverse.
-    reach = max(amp.shape[0] for amp in amps.values())
-    amp_e = np.zeros((reach, nt), dtype=complex)
-    amp_g = np.zeros((reach, nt), dtype=complex)
-    for chain, amp in amps.items():
-        on_e = 0 if chain is ParityChain.C else 1
-        amp_e[on_e:amp.shape[0]:2] = amp[on_e::2]
-        amp_g[1 - on_e:amp.shape[0]:2] = amp[1 - on_e::2]
-    del amps, amp  # frees the chains' arrays before the observables' temporaries
-
-    pop, p_e, p_r, mean_n = observables(amp_e, amp_g, initial)
+    pop, p_e, p_r, mean_n = observables(*_amplitudes(params, initial, t_grid), initial)
+    n, nt = params.n_trunc, t_grid.shape[0]
     pnt = np.zeros((n, nt)).T   # stored site-major like pop, so filling it is a plain copy
-    pnt[:, :reach] = pop.T
+    pnt[:, :pop.shape[0]] = pop.T
 
-    top = float(pnt[:, -2:].max()) if n >= 2 else 0.0
+    top = float(pnt[:, -2:].max())   # RabiParams keeps n_trunc >= 2
     return Trajectory(t_grid=t_grid, pnt=pnt, p_e=p_e, p_r=p_r, mean_n=mean_n,
-                      top_site_occupancy=top, spectra=spectra)
+                      top_site_occupancy=top)
 
 
 def chain_reference_state(params: RabiParams, initial: FullState, t: float) -> FullState:
-    """Single-time parity-chain evolution (the production path, one point)."""
+    """The state at time t, from the production path on the one-point grid {t}."""
     if t < 0:
         raise ValueError(f"propagation distance must be >= 0, got {t}")
-    return _state_at(_spectra(params, initial), params.n_trunc, t)
+    reached = _amplitudes(params, initial, np.array([t]))
+    state = FullState(*(np.pad(amp[:, 0], (0, params.n_trunc - amp.shape[0])) for amp in reached),
+                      norm_tol=RECOMPOSE_WEIGHT_TOL)
+    for before, after in zip(decompose(initial), decompose(state)):
+        if not abs(after.weight - before.weight) <= NORM_TOL:
+            raise ValueError(f"{after.chain.name}-chain norm {after.weight!r} departs from its "
+                             f"initial weight {before.weight!r} by more than {NORM_TOL}")
+    return state
 
 
 # ---------------------------------------------------------------------------

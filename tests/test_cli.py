@@ -309,6 +309,46 @@ def test_step_longer_than_grid_exits_1(tmp_path, capsys, monkeypatch, command, g
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_without_t_max_exits_1_naming_the_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    cfg = tmp_path / "no_t_max.cfg"
+    cfg.write_text(DSC_CONFIG.replace("t_max = 60\ndt = 0.1\n", ""))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "config error: grid.t_max is required by simulate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_dt_larger_than_t_max_exits_1_naming_the_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(DSC_CONFIG.replace("t_max = 60", "t_max = 0.05"))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "grid.t_max = 0.05" in err and "the step is longer than the grid" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_ignores_a_t_max_shorter_than_dt(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(DSC_CONFIG.replace("t_max = 60\ndt = 0.1", "t_max = 0.01\ndt = 0.05"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), *SWEEP_ARGS]) == 0
+    _, data = read_table(out / "sweep.tsv")
+    assert data.shape == (2, 4)
+
+
+def test_design_needs_no_grid_section(tmp_path):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(DSC_CONFIG.replace("[grid]\nt_max = 60\ndt = 0.1\n", ""))
+    assert "[grid]" not in cfg.read_text()
+    out = tmp_path / "out"
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    assert parse_recipe((out / "recipe.tsv").read_text()).n_guides == 15
+    assert (out / "recipe_report.txt").exists()
+
+
 @pytest.mark.parametrize(
     "line, bad, key",
     [

@@ -51,11 +51,6 @@ def test_syntax_error_reported_with_line():
         parse_config("[model\nomega = 1\n")
 
 
-def test_missing_required_key():
-    with pytest.raises(ConfigError, match="t_max"):
-        parse_config(MINIMAL.replace("t_max = 60", "").replace("dt = 0.1", ""))
-
-
 def test_bad_number_names_key():
     with pytest.raises(ConfigError, match="model.g"):
         parse_config(MINIMAL.replace("g = 0.15", "g = fifteen"))
@@ -120,6 +115,11 @@ def test_design_invariants_surface_as_config_errors():
         parse_config(MINIMAL + "\n[design]\nn_guides = 15\nwavelength_nm = 10\n")
 
 
-def test_dt_larger_than_t_max_rejected():
-    with pytest.raises(ConfigError, match="t_max"):
-        parse_config(MINIMAL.replace("t_max = 60", "t_max = 0.05"))
+def test_grid_keys_are_optional_and_not_checked_against_each_other():
+    # each command checks the grid it runs; sweep and design never read grid.t_max
+    cfg = parse_config(MINIMAL.split("[grid]")[0])
+    assert cfg.t_max is None and cfg.dt is None
+    cfg = parse_config(MINIMAL.replace("t_max = 60", "t_max = 0.05"))
+    assert (cfg.t_max, cfg.dt) == (0.05, 0.1)
+    with pytest.raises(ConfigError, match="grid.t_max: must be > 0"):
+        parse_config(MINIMAL.replace("t_max = 60", "t_max = 0"))

@@ -1,7 +1,12 @@
 """Chain Hamiltonians, spectral propagation, observables, oracle equivalence."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from rabichain import dynamics
@@ -224,13 +229,10 @@ def test_two_chain_initial_state_propagates_both_chains():
     amp_e = np.zeros(32, dtype=complex)
     amp_g = np.zeros(32, dtype=complex)
     amp_e[0] = amp_g[0] = np.sqrt(0.5)
-    traj = run_trajectory(
-        RabiParams(omega0=0.08, omega=0.23, g=0.15, n_trunc=32),
-        FullState(amp_e, amp_g),
-        20.0,
-        0.5,
-    )
-    c, f = decompose(traj.state(-1))
+    p = RabiParams(omega0=0.08, omega=0.23, g=0.15, n_trunc=32)
+    state0 = FullState(amp_e, amp_g)
+    traj = run_trajectory(p, state0, 20.0, 0.5)
+    c, f = decompose(chain_reference_state(p, state0, float(traj.t_grid[-1])))
     assert c.weight == pytest.approx(0.5, abs=1e-10)
     assert f.weight == pytest.approx(0.5, abs=1e-10)
 
@@ -243,13 +245,13 @@ def test_trajectory_state_matches_single_time_evolution(initial):
     else:
         state0 = random_full_state(np.random.default_rng(3), 32)
     traj = run_trajectory(p, state0, 20.0, 0.5)
-    nt = traj.t_grid.shape[0]
-    for k in (0, nt // 2, -1):
-        got = traj.state(k)
+    for k in (0, traj.t_grid.shape[0] // 2, -1):
         want = chain_reference_state(p, state0, float(traj.t_grid[k]))
-        assert np.abs(got.amp_e - want.amp_e).max() < 1e-12
-        assert np.abs(got.amp_g - want.amp_g).max() < 1e-12
-    assert np.array_equal(traj.state(-1).amp_e, traj.state(nt - 1).amp_e)
+        pop, p_e, p_r, mean_n = observables(want.amp_e, want.amp_g, state0)
+        assert np.abs(traj.pnt[k] - pop).max() < 1e-12
+        assert abs(traj.p_e[k] - p_e) < 1e-12
+        assert abs(traj.p_r[k] - p_r) < 1e-12
+        assert abs(traj.mean_n[k] - mean_n) < 1e-12
 
 
 def unrestricted_observables(params, initial, t_grid):
@@ -327,9 +329,64 @@ def test_restricted_propagation_is_bit_identical_to_the_full_product(params, ini
     assert np.array_equal(traj.mean_n, mean_n)
     for k in (0, 17, -1):
         amp_e, amp_g, *_ = unrestricted_observables(params, initial, traj.t_grid[k:k + 1 or None])
-        state = traj.state(k)
+        state = chain_reference_state(params, initial, float(traj.t_grid[k]))
         assert np.array_equal(np.abs(state.amp_e) ** 2, np.abs(amp_e[:, 0]) ** 2)
         assert np.array_equal(np.abs(state.amp_g) ** 2, np.abs(amp_g[:, 0]) ** 2)
+
+
+@st.composite
+def chain_problems(draw):
+    """A small model, a normalized state on one or both chains, and a time grid."""
+    n = draw(st.integers(2, 32))
+    params = RabiParams(omega0=draw(st.floats(-1.0, 1.0)), omega=draw(st.floats(0.05, 1.0)),
+                        g=draw(st.floats(0.0, 1.0)), n_trunc=n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_c, on_f = draw(st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]))
+    c, f = on_c * rng.normal(size=2 * n).view(complex), on_f * rng.normal(size=2 * n).view(complex)
+    norm = np.sqrt(np.sum(np.abs(c) ** 2) + np.sum(np.abs(f) ** 2))
+    c, f = c / norm, f / norm
+    state = recompose(ChainState(c, ParityChain.C, float(np.sum(np.abs(c) ** 2))),
+                      ChainState(f, ParityChain.F, float(np.sum(np.abs(f) ** 2))))
+    dt = draw(st.floats(0.05, 2.0))
+    return params, state, dt * draw(st.integers(1, 30)), dt
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(chain_problems())
+def test_one_propagation_path_properties(problem):
+    params, state, t_max, dt = problem
+    traj = run_trajectory(params, state, t_max, dt)
+    for k in (0, traj.t_grid.shape[0] // 2, -1):
+        t = float(traj.t_grid[k])
+        at_t = chain_reference_state(params, state, t)
+        pop, p_e, p_r, mean_n = observables(at_t.amp_e, at_t.amp_g, state)
+        assert np.abs(traj.pnt[k] - pop).max() < 1e-12
+        assert abs(traj.p_e[k] - p_e) < 1e-12
+        assert abs(traj.p_r[k] - p_r) < 1e-12
+        assert abs(traj.mean_n[k] - mean_n) < 1e-12
+        oracle = full_rabi_reference(params, state, t)
+        assert np.abs(at_t.amp_e - oracle.amp_e).max() < 1e-8
+        assert np.abs(at_t.amp_g - oracle.amp_g).max() < 1e-8
+    hf = build_chain(params, ParityChain.F)
+    hc = build_chain(replace(params, omega0=-params.omega0), ParityChain.C)
+    assert np.array_equal(hf.diag, hc.diag) and np.array_equal(hf.offdiag, hc.offdiag)
+    back = recompose(*decompose(state))
+    assert back.amp_e.tobytes() == state.amp_e.tobytes()
+    assert back.amp_g.tobytes() == state.amp_g.tobytes()
+
+
+def test_trajectory_keeps_no_eigenbasis():
+    # at n_trunc 1024 one chain's eigenvector matrix is 8 MiB; the grid is 11 points
+    n = 1024
+    params, e0 = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=n), FullState.basis_state("e", 0, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = run_trajectory(params, e0, 1.0, 0.1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < traj.pnt.nbytes + n**2 * 4
 
 
 def test_truncation_sentinel_flags_small_arrays():
@@ -357,8 +414,9 @@ def test_population_examples():
 
 def test_population_equals_even_site_sum_on_c_chain():
     # for a state confined to the C chain, P_e is the even-site weight
-    traj = run_trajectory(DSC, FullState.basis_state("e", 0, 64), 20.0, 1.0)
-    for state in map(traj.state, range(traj.t_grid.shape[0])):
+    e0 = FullState.basis_state("e", 0, 64)
+    traj = run_trajectory(DSC, e0, 20.0, 1.0)
+    for state in (chain_reference_state(DSC, e0, float(t)) for t in traj.t_grid):
         c, _ = decompose(state)
         assert population_excited(state) == pytest.approx(
             float(np.sum(np.abs(c.amp[0::2]) ** 2)), abs=1e-12
