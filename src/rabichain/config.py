@@ -53,18 +53,20 @@ MATRIX_BYTES = 48
 CELL_BYTES = 72
 # The output phase of simulate: per map cell, the map's text (17 characters
 # and a tab per value) and the PGM raster's float and uint8 copies; once, the
-# block being formatted, 2^16 values at most, each held as a float in the
-# block, a Python float in a list and a tuple, and as text twice (the
-# repeated row template and its result).
+# block being encoded by output.format_rows, 2^16 values at most, each held
+# as a float in the block (8), five float or int64 arrays (the live columns'
+# copy, |x|, e, m and the digits; 40), two bool masks (2), its 20-byte cell of
+# uint32 words, the cell's keep mask, the kept bytes and their str (80).
 OUTPUT_CELL_BYTES = 18 + 16
-FORMAT_BLOCK_BYTES = (8 + 32 + 8 + 18 + 18) * 2**16
+FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * 2**16
 # design, per guide.  Arrays: lattice.design's 13 float arrays while the
 # recipe copies 7 of them (160), then the recipe and the report's 9 arrays
 # (128) with verify_recipe's list of Python floats and temporaries (64).
 # Text, with the recipe and report held: a table is a list of row strings
 # (row length + 57 each), their join and its encoding, 3 x row length + 57.
-# recipe.tsv rows are at most 8 fields of 20 characters (160); the report's
-# rows, which set the figure, at most 710 (two fixed-point fields of 317).
+# recipe.tsv rows are at most 8 fields of 20 characters (160), and encoding
+# them peaks at 7 x 130 bytes (FORMAT_BLOCK_BYTES' count); the report's rows,
+# which set the figure, at most 710 (two fixed-point fields of 317).
 GUIDE_BYTES = 128 + 3 * 710 + 57
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .model import RabiParams, coupling
+from .output import format_rows
 
 RECIPE_DEVIATION_TOL = 1e-6   # max relative deviation of a recipe that `design` writes
 
@@ -374,18 +375,12 @@ def verify_recipe(
 # Recipe serialization: one delimited row per guide, header with units
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    if np.isnan(x):
-        return ""
-    return f"{x + 0.0:.11e}"  # x + 0.0 folds IEEE -0.0 into +0.0
-
-
 def format_recipe(recipe: LatticeRecipe) -> str:
-    columns = [getattr(recipe, f.name) for f in fields(recipe)[1:]]
-    lines = ["\t".join(RECIPE_COLUMNS)]
-    for n in range(recipe.n_guides):
-        lines.append("\t".join([str(n)] + [_fmt(column[n]) for column in columns]))
-    return "\n".join(lines) + "\n"
+    """The recipe table: the guide index, then the columns with a NaN step quantity empty."""
+    table = np.column_stack([getattr(recipe, f.name) for f in fields(recipe)[1:]])
+    # + 0.0 folds IEEE -0.0 into +0.0
+    rows = format_rows(table + 0.0, blank=np.isnan(table)).splitlines()
+    return "\t".join(RECIPE_COLUMNS) + "\n" + "".join(f"{n}\t{row}\n" for n, row in enumerate(rows))
 
 
 def parse_recipe(text: str) -> LatticeRecipe:

@@ -1,32 +1,119 @@
 """Deterministic text and raster writers.
 
-All numeric text uses fixed 12-significant-digit scientific notation so
-golden-file comparisons are stable across platforms and runs.
+All numeric text is fixed 12-significant-digit scientific notation, the
+bytes ``"%.11e" % x`` gives for every float64, written as ASCII with
+``\\n`` line ends, so golden-file comparisons are stable across platforms
+and runs.
+
+``format_rows`` is the one float-to-text conversion.  It encodes a whole
+array at once: the decimal exponent e from ``floor(log10|x|)``, one
+multiply by a correctly rounded 10^(11-e) to a mantissa m in [1e11, 1e12)
+(re-scaled once from |x| when the estimate of e was one off), ``rint`` to
+the 12 digits, and table lookups for their text.  The two roundings of the
+multiply put m within 2.3e-4 of |x| * 10^(11-e), so ``rint`` gives the
+correctly rounded digits whenever m lies more than 1e-3 from a rounding
+tie.  A value within 1e-3 of a tie, with |e| >= 280 (10^(11-e) would leave
+the table's range, and overflows at e = -298), or not finite goes through
+``%`` instead, which rounds exact ties half to even.  Both zeros are encoded.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import Trajectory
+if TYPE_CHECKING:
+    from .dynamics import Trajectory
 
-_BLOCK_VALUES = 1 << 16   # values formatted per % call in _table_text
-_ZERO = "%.11e" % 0.0     # the text of +0.0, written literally for empty columns
+_BLOCK_VALUES = 1 << 16   # values encoded at a time in _table_text
+_ZERO = "0.00000000000e+00"   # the text of +0.0, written literally for dead columns
+
+# A value's cell is 20 bytes, five native-order uint32 words:
+#   "-" d0 "." d1 | d2..d5 | d6..d9 | d10 d11 "e" sign | E2 E1 E0 separator
+# The "-" byte is dropped for a value without its sign bit, E2 for |e| < 100.
+_CELL = 20
+_E_MAX = 280              # |e| below this is encoded; _POW10[_E_MAX - e] = 10^(11 - e)
+_POW10 = np.array([float(f"1e{k}") for k in range(11 - _E_MAX, 12 + _E_MAX)])
+
+
+def _words(*byte_columns) -> np.ndarray:
+    """One uint32 word per row of four ASCII byte columns, in memory order."""
+    columns = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint8) for c in byte_columns))
+    return np.stack(columns, axis=1).view(np.uint32).ravel()
+
+
+_I = np.arange(10**4, dtype=np.uint16)
+_D = ord("0")
+_LEAD = _words(ord("-"), _D + _I[:100] // 10, ord("."), _D + _I[:100] % 10)      # by d0 d1
+_QUAD = _words(*(_D + _I // 10**k % 10 for k in (3, 2, 1, 0)))                 # by 4 digits
+_TAIL = _words(_D + _I[:200] // 20, _D + _I[:200] // 2 % 10, ord("e"),         # by 2*(d10 d11)
+               np.where(_I[:200] % 2, ord("-"), ord("+")))                      # + (e < 0)
+_EXP = _words(_D + _I[:2000] % 1000 // 100, _D + _I[:2000] // 10 % 10,         # by |e|, + 1000
+              _D + _I[:2000] % 10, np.where(_I[:2000] < 1000, ord("\t"), ord("\n")))  # at row end
+
+
+def format_rows(table: np.ndarray, blank: np.ndarray | None = None) -> str:
+    """Each row of a 2-D float array as ``%.11e`` fields joined by tabs, ending in ``\\n``.
+
+    Cells where ``blank`` (a bool array of the table's shape) is True are
+    written as empty fields.
+    """
+    rows, width = table.shape
+    if width == 0:
+        return "\n" * rows
+    x = table.ravel()
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(a))                # -inf for 0; inf or nan when not finite
+    vector = (np.abs(e) < _E_MAX) | (a == 0)
+    a[~vector] = 0.0                             # encoded as zero, overwritten below
+    e = np.where(a > 0, e, 0).astype(np.int64)
+    m = a * _POW10[_E_MAX - e]
+    off = np.flatnonzero((m >= 1e12) | ((m < 1e11) & (a > 0)))
+    if off.size:                                 # e was one off: scale again from |x|
+        e[off] += np.where(m[off] >= 1e12, 1, -1)
+        m[off] = a[off] * _POW10[_E_MAX - e[off]]
+    n = np.rint(m)
+    vector &= (np.abs(m - n) < 0.5 - 1e-3) & (((n >= 1e11) & (n <= 1e12)) | (a == 0))
+    carry = n == 1e12
+    n[carry] = 1e11
+    e += carry
+    n = n.astype(np.int64)
+
+    cells = np.empty((x.size, _CELL // 4), dtype=np.uint32)
+    cells[:, 0] = _LEAD[n // 10**10]
+    cells[:, 1] = _QUAD[n // 10**6 % 10**4]
+    cells[:, 2] = _QUAD[n // 100 % 10**4]
+    cells[:, 3] = _TAIL[n % 100 * 2 + (e < 0)]
+    e = np.abs(e)
+    keep = np.ones((x.size, _CELL), dtype=bool)
+    keep[:, 16] = e >= 100
+    e[width - 1::width] += 1000                  # the row's last field ends the line
+    cells[:, 4] = _EXP[e]
+    keep[:, 0] = np.signbit(x)
+
+    text = cells.view(np.uint8)
+    slow = np.flatnonzero(~vector)
+    if slow.size:                                # at most 19 characters each, padded
+        fallback = "".join([("%.11e" % v).ljust(_CELL - 1) for v in x[slow].tolist()])
+        fallback = np.frombuffer(fallback.encode("ascii"), dtype=np.uint8).reshape(-1, _CELL - 1)
+        text[slow, :-1] = fallback
+        keep[slow, :-1] = fallback != ord(" ")
+    if blank is not None:
+        keep[blank.ravel(), :-1] = False
+    return str(text[keep].data, "ascii")
 
 
 def _table_text(header: str, *columns: np.ndarray) -> list[str]:
     """The header line, then one tab-separated line per row, as a list of text blocks.
 
     ``columns`` are 1-D or 2-D float arrays with one entry (or row) per
-    table row; they are put side by side a block of rows at a time.  Every
-    value is written as ``f"{x:.11e}"`` writes it: the ``%.11e`` row
-    template is the same C conversion, applied to a block of rows at a time
-    so that the Python floats passed to it stay bounded in number.  The
-    trailing columns of a block that hold +0.0 (by bit pattern, so -0.0
-    still goes through the conversion) in every row are literal text in
-    that block's template.
+    table row; they are put side by side a block of rows at a time, and
+    every value is written by ``format_rows``.  The trailing columns of a
+    block that hold +0.0 (by bit pattern, so -0.0 is still encoded) in
+    every row are appended to each line as literal text.
     """
     rows = columns[0].shape[0]
     cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
@@ -36,9 +123,10 @@ def _table_text(header: str, *columns: np.ndarray) -> list[str]:
         chunk = np.column_stack([c[start:start + block] for c in columns])
         live = np.flatnonzero(chunk.view(np.uint64).any(axis=0))
         width = int(live[-1]) + 1 if live.size else 0
-        row_template = "\t".join(["%.11e"] * width + [_ZERO] * (cols - width)) + "\n"
-        values = tuple(chunk[:, :width].ravel().tolist())
-        parts.append((row_template * chunk.shape[0]) % values)
+        text = format_rows(chunk[:, :width])
+        if width < cols:
+            text = text.replace("\n", "\t" * (width > 0) + "\t".join([_ZERO] * (cols - width)) + "\n")
+        parts.append(text)
     return parts
 
 
@@ -77,9 +165,12 @@ def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> list[st
 
 
 def write_text(path: Path, text: str | list[str]) -> None:
-    """Write a string, or a formatter's list of text blocks one after another."""
+    """Write a string, or a formatter's list of text blocks one after another, as ASCII.
+
+    No newline translation: the file holds ``\\n`` line ends on every platform.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:
+    with path.open("w", encoding="ascii", newline="") as f:
         f.writelines([text] if isinstance(text, str) else text)
 
 

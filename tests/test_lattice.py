@@ -1,9 +1,12 @@
 """Calibration inversion, gradient formula, and the full design procedure."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from rabichain.lattice import (
+    RECIPE_COLUMNS,
     CouplingCalibration,
     CouplingRangeError,
     FabricationError,
@@ -239,6 +242,23 @@ def test_recipe_roundtrip():
         assert np.allclose(a, b, rtol=1e-10, atol=1e-18, equal_nan=True)
     report = verify_recipe(back, p, CAL, OC)
     assert report.max_rel_deviation < 1e-6
+
+
+def test_format_recipe_matches_a_per_value_rendering():
+    recipe = design(DSC, CAL, OC, 15)
+    columns = [np.array(getattr(recipe, f.name)) for f in fields(recipe)[1:]]
+    columns[0][4] = np.nan      # an empty cell outside the last row
+    columns[2][0] = -0.0        # written as +0.0
+    columns[3][2] = 1e-300      # a 3-digit exponent
+    recipe = LatticeRecipe(recipe.n_guides, *columns)
+    lines = ["\t".join(RECIPE_COLUMNS)] + [
+        "\t".join([str(n)] + ["" if np.isnan(c[n]) else f"{c[n] + 0.0:.11e}" for c in columns])
+        for n in range(recipe.n_guides)
+    ]
+    text = format_recipe(recipe)
+    assert text == "\n".join(lines) + "\n"
+    assert "\t\t" in text.splitlines()[5] and "\t0.00000000000e+00\t" in text.splitlines()[1]
+    assert "-0.0" not in text
 
 
 def test_parse_recipe_rejects_garbage():
