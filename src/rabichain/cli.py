@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +46,48 @@ EXIT_VALIDATION = 3
 
 SWEEP_DEFAULT_DT = 0.05
 SIMULATE_DEFAULT_DT = 0.1
+
+_MAPS = "/proc/self/maps"   # where the loaded OpenBLAS libraries are listed
+_OPENBLAS_THREADS = [   # (get, set) symbols: numpy's build, scipy's build, a plain build
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+]
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """Cap every loaded OpenBLAS at n threads for the block, and restore the old counts after it.
+
+    numpy and scipy each bundle their own OpenBLAS.  A count already below n
+    (say, from ``OPENBLAS_NUM_THREADS``) is kept.  Nothing happens where
+    /proc/self/maps cannot be read or lists no OpenBLAS.
+    """
+    import ctypes
+
+    try:
+        with open(_MAPS) as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        libs = []
+    restore = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:   # a mapping whose file is gone
+            continue
+        for get, set_ in _OPENBLAS_THREADS:
+            if hasattr(handle, get) and hasattr(handle, set_):
+                old, setter = getattr(handle, get)(), getattr(handle, set_)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                restore.append((setter, old))
+                setter(min(old, n))
+                break
+    try:
+        yield
+    finally:
+        for setter, old in restore:
+            setter(old)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,7 +181,9 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
         f"(sweep does not read grid.t_max)",
         runs=runs,
     )
-    with ThreadPoolExecutor(max_workers=runs) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # the pool owns the parallelism: its workers share the cores with no BLAS threads on top
+    with _blas_threads(max(1, cpus // runs)), ThreadPoolExecutor(max_workers=runs) as pool:
         rows = list(pool.map(lambda p, v: _sweep_point(p, v, dt), models, omega0_list))
     write_text(out_dir / "sweep.tsv", sweep_summary_text(rows))
     return EXIT_OK
@@ -165,7 +211,8 @@ def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_validate() -> int:
-    report = run_validation()
+    with _blas_threads(1):   # at most 128 x 128 matrices: threads cost more than they gain
+        report = run_validation()
     print(report.to_text(), end="")
     return EXIT_OK if report.all_passed else EXIT_VALIDATION
 

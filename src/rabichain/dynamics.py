@@ -37,9 +37,11 @@ site 256 on).  The eigenbasis (inner) dimension of the product is kept
 whole: dropping its dead columns changes the summation order and so the
 last bits.
 
-A dense diagonalization of the untransformed two-branch Hamiltonian
-(:func:`full_rabi_reference`) serves as an independent cross-check and is
-used only in tests and the validation suite.
+A dense diagonalization of the untransformed two-branch Hamiltonian serves
+as an independent cross-check and is used only in tests and the validation
+suite.  It mirrors the production path: :func:`full_rabi_amplitudes` runs
+one ``eigh`` per model and evolves over a whole time grid, and
+:func:`full_rabi_reference` is that function on the one-point grid {t}.
 """
 
 from __future__ import annotations
@@ -301,15 +303,16 @@ def full_rabi_matrix(params: RabiParams) -> np.ndarray:
     return h
 
 
-def full_rabi_reference(params: RabiParams, initial: FullState, t: float) -> FullState:
-    """Evolve by dense eigendecomposition of the untransformed Hamiltonian.
+def full_rabi_amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
+    """Evolve by one dense eigendecomposition of the untransformed Hamiltonian.
 
     Deliberately ignorant of the parity structure; intended as the
-    independent oracle for tests.  Refuses n_trunc > 256.
+    independent oracle for tests.  Returns (amp_e, amp_g), each of shape
+    (n_trunc, len(t_grid)).  Refuses n_trunc > 256.
     """
     if params.n_trunc > FULL_RABI_MAX_TRUNC:
         raise ValueError(
-            f"full_rabi_reference supports n_trunc <= {FULL_RABI_MAX_TRUNC} "
+            f"the dense oracle supports n_trunc <= {FULL_RABI_MAX_TRUNC} "
             f"(got {params.n_trunc}); the dense solve is O((2 n_trunc)^3)"
         )
     if initial.n_trunc != params.n_trunc:
@@ -320,5 +323,11 @@ def full_rabi_reference(params: RabiParams, initial: FullState, t: float) -> Ful
     psi0[0::2] = initial.amp_g
     psi0[1::2] = initial.amp_e
     evals, evecs = eigh(full_rabi_matrix(params))
-    psi_t = evecs @ (np.exp(-1j * evals * t) * (evecs.T @ psi0))
-    return FullState(psi_t[1::2], psi_t[0::2], norm_tol=1e-9)
+    psi_t = evecs @ (np.exp(-1j * np.outer(evals, t_grid)) * (evecs.T @ psi0)[:, None])
+    return psi_t[1::2], psi_t[0::2]
+
+
+def full_rabi_reference(params: RabiParams, initial: FullState, t: float) -> FullState:
+    """The oracle's state at time t: :func:`full_rabi_amplitudes` on the one-point grid {t}."""
+    amp_e, amp_g = full_rabi_amplitudes(params, initial, np.array([t]))
+    return FullState(amp_e[:, 0], amp_g[:, 0], norm_tol=1e-9)

@@ -149,12 +149,17 @@ def intensity_map_pgm(traj: Trajectory) -> bytes:
 
     Rotated a quarter turn relative to the text table so that propagation
     distance runs horizontally: width = grid points, height = sites,
-    site 0 on the top row.
+    site 0 on the top row.  Only the sites the state reaches are scaled:
+    every site past them is exactly 0.0 and so byte 0.
     """
     img = traj.pnt.T  # (sites, times)
-    peak = img.max()
-    scale = 255.0 / peak if peak > 0 else 0.0
-    data = np.clip(np.rint(img * scale), 0, 255).astype(np.uint8)
+    touched = np.flatnonzero(img.any(axis=1))
+    reach = int(touched[-1]) + 1 if touched.size else 0
+    live = img[:reach] * (255.0 / img[:reach].max() if reach else 0.0)   # peak > 0 when reach > 0
+    np.rint(live, out=live)
+    np.clip(live, 0, 255, out=live)
+    data = np.zeros(img.shape, dtype=np.uint8)
+    data[:reach] = live
     header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
     return header + data.tobytes()
 

@@ -1,5 +1,6 @@
 """CLI commands end to end: files, determinism, exit codes."""
 
+import contextlib
 import subprocess
 import sys
 import tempfile
@@ -131,6 +132,76 @@ def test_sweep_monotone_and_parallel_deterministic(config_path, tmp_path):
     _, data = read_table(out1 / "sweep.tsv")
     assert np.all(np.diff(data[:, 1]) < 0)  # min P_r strictly decreasing
     assert np.all(np.diff(data[:, 2]) < 0)  # min population strictly decreasing
+
+
+def blas_threads():
+    """Thread count of every OpenBLAS this process has loaded, by library path."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    counts = {}
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for get, _ in cli._OPENBLAS_THREADS:
+            if hasattr(handle, get):
+                counts[lib] = getattr(handle, get)()
+                break
+    return counts
+
+
+needs_openblas = pytest.mark.skipif(
+    not Path("/proc/self/maps").exists() or not blas_threads(), reason="no OpenBLAS listed in /proc"
+)
+
+
+@needs_openblas
+def test_commands_cap_blas_threads_and_restore_them(config_path, tmp_path, monkeypatch, capsys):
+    before = blas_threads()
+    seen = {}
+    real_validation, real_point = cli.run_validation, cli._sweep_point
+
+    def validation():
+        seen["validate"] = blas_threads()
+        return real_validation()
+
+    def point(*args):
+        seen["sweep"] = blas_threads()
+        return real_point(*args)
+
+    monkeypatch.setattr(cli, "run_validation", validation)
+    monkeypatch.setattr(cli, "_sweep_point", point)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    assert main(["validate"]) == 0
+    assert blas_threads() == before
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                 "--omega0-list=-0.04,0,0.04", "--jobs", "2"]) == 0
+    assert blas_threads() == before
+    assert seen["validate"] == {lib: 1 for lib in before}
+    assert seen["sweep"] == {lib: min(n, 4 // 2) for lib, n in before.items()}
+
+
+def test_sweep_output_does_not_depend_on_the_blas_cap(config_path, tmp_path, monkeypatch):
+    args = ["sweep", "--config", str(config_path), "--omega0-list=-0.08,-0.04,0,0.04,0.08",
+            "--jobs", "2"]
+    assert main(args + ["--out", str(tmp_path / "capped")]) == 0
+    monkeypatch.setattr(cli, "_blas_threads", lambda n: contextlib.nullcontext())
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    assert ((tmp_path / "capped" / "sweep.tsv").read_bytes()
+            == (tmp_path / "default" / "sweep.tsv").read_bytes())
+
+
+@pytest.mark.parametrize("maps", [None, "", "7f00-7f01 r-xp 00000000 08:01 42 /usr/lib/libm.so.6\n"])
+def test_blas_cap_does_nothing_without_an_openblas_listed(tmp_path, monkeypatch, maps):
+    path = tmp_path / "maps"   # None: the file cannot be read
+    if maps is not None:
+        path.write_text(maps)
+    monkeypatch.setattr(cli, "_MAPS", str(path))
+    counts = blas_threads if Path("/proc/self/maps").exists() else dict
+    before = counts()
+    with cli._blas_threads(1):
+        assert counts() == before
+    assert counts() == before
 
 
 def test_design_writes_recipe_and_report(config_path, tmp_path):

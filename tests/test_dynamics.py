@@ -16,6 +16,7 @@ from rabichain.dynamics import (
     _evolve_grid,
     build_chain,
     chain_reference_state,
+    full_rabi_amplitudes,
     full_rabi_matrix,
     full_rabi_reference,
     observables,
@@ -356,7 +357,9 @@ def chain_problems(draw):
 def test_one_propagation_path_properties(problem):
     params, state, t_max, dt = problem
     traj = run_trajectory(params, state, t_max, dt)
-    for k in (0, traj.t_grid.shape[0] // 2, -1):
+    ks = [0, traj.t_grid.shape[0] // 2, -1]
+    oracle_e, oracle_g = full_rabi_amplitudes(params, state, traj.t_grid[ks])
+    for j, k in enumerate(ks):
         t = float(traj.t_grid[k])
         at_t = chain_reference_state(params, state, t)
         pop, p_e, p_r, mean_n = observables(at_t.amp_e, at_t.amp_g, state)
@@ -364,9 +367,8 @@ def test_one_propagation_path_properties(problem):
         assert abs(traj.p_e[k] - p_e) < 1e-12
         assert abs(traj.p_r[k] - p_r) < 1e-12
         assert abs(traj.mean_n[k] - mean_n) < 1e-12
-        oracle = full_rabi_reference(params, state, t)
-        assert np.abs(at_t.amp_e - oracle.amp_e).max() < 1e-8
-        assert np.abs(at_t.amp_g - oracle.amp_g).max() < 1e-8
+        assert np.abs(at_t.amp_e - oracle_e[:, j]).max() < 1e-8
+        assert np.abs(at_t.amp_g - oracle_g[:, j]).max() < 1e-8
     hf = build_chain(params, ParityChain.F)
     hc = build_chain(replace(params, omega0=-params.omega0), ParityChain.C)
     assert np.array_equal(hf.diag, hc.diag) and np.array_equal(hf.offdiag, hc.offdiag)
@@ -493,6 +495,24 @@ def test_full_rabi_refuses_oversized_problems():
     p = RabiParams(omega0=0.0, omega=1.0, g=0.1, n_trunc=300)
     with pytest.raises(ValueError, match="256"):
         full_rabi_reference(p, FullState.basis_state("e", 0, 300), 1.0)
+    with pytest.raises(ValueError, match="256"):
+        full_rabi_amplitudes(p, FullState.basis_state("e", 0, 300), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_oracle_matches_the_single_time_oracle(seed):
+    # one eigh over the grid gives each time's state, as one eigh per time does
+    rng = np.random.default_rng(seed)
+    p = RabiParams(omega0=float(rng.uniform(-0.3, 0.3)), omega=float(rng.uniform(0.1, 0.5)),
+                   g=float(rng.uniform(0.0, 0.3)), n_trunc=32)
+    s = random_full_state(rng, 32)
+    times = np.concatenate([[0.0], rng.uniform(0.0, 60.0, 6)])
+    amp_e, amp_g = full_rabi_amplitudes(p, s, times)
+    assert amp_e.shape == amp_g.shape == (32, times.shape[0])
+    for k, t in enumerate(times):
+        ref = full_rabi_reference(p, s, float(t))
+        assert np.abs(amp_e[:, k] - ref.amp_e).max() < 1e-12
+        assert np.abs(amp_g[:, k] - ref.amp_g).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -518,11 +538,12 @@ def test_qubit_flip_maps_sign_of_omega0():
     # distinct comparison is |e,0> vs |g,0> at the same omega0.
     p_pos = RabiParams(omega0=0.08, omega=0.23, g=0.15, n_trunc=32)
     p_neg = RabiParams(omega0=-0.08, omega=0.23, g=0.15, n_trunc=32)
-    for t in (7.0, 13.0, 21.0):
-        a = full_rabi_reference(p_pos, FullState.basis_state("g", 0, 32), t)
-        b = full_rabi_reference(p_neg, FullState.basis_state("e", 0, 32), t)
-        assert np.abs(photon_distribution(a) - photon_distribution(b)).max() < 1e-12
-        assert population_ground(a) == pytest.approx(population_excited(b), abs=1e-12)
+    times = np.array([7.0, 13.0, 21.0])
+    g0, e0 = FullState.basis_state("g", 0, 32), FullState.basis_state("e", 0, 32)
+    pop_a, pe_a, _, _ = observables(*full_rabi_amplitudes(p_pos, g0, times), g0)
+    pop_b, pe_b, _, _ = observables(*full_rabi_amplitudes(p_neg, e0, times), e0)
+    assert np.abs(pop_a - pop_b).max() < 1e-12
+    assert np.abs((1.0 - pe_a) - pe_b).max() < 1e-12
 
 
 def test_initial_qubit_branch_changes_the_map():

@@ -4,12 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabichain.dynamics import run_trajectory
+from rabichain.dynamics import Trajectory, run_trajectory
 from rabichain.model import FullState, RabiParams
 from rabichain.output import (
     _BLOCK_VALUES,
     _table_text,
     format_rows,
+    intensity_map_pgm,
     intensity_map_text,
     sweep_summary_text,
     timeseries_text,
@@ -225,3 +226,25 @@ def test_write_text_writes_the_blocks_as_ascii_with_newline_line_ends(tmp_path):
     write_text(path, blocks)
     assert path.read_bytes() == "".join(blocks).encode("ascii")
     assert b"\r" not in path.read_bytes()
+
+
+def whole_map_pgm(pnt):
+    """The raster scaled, rounded and clipped over every site, reached or not."""
+    img = pnt.T
+    scale = 255.0 / img.max() if img.max() > 0 else 0.0
+    data = np.clip(np.rint(img * scale), 0, 255).astype(np.uint8)
+    return f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii") + data.tobytes()
+
+
+def test_pgm_of_the_reached_sites_is_the_whole_map_raster():
+    rng = np.random.default_rng(7)
+    for reach in (1, 5, 24):
+        pnt = np.zeros((9, 24))
+        pnt[:, :reach] = rng.uniform(0.0, 1.0, size=(9, reach)) ** 3
+        pnt[2, reach - 1] = 0.0    # a zero inside the reach, and a peak at a random site
+        traj = Trajectory(t_grid=np.arange(9.0), pnt=pnt, p_e=np.zeros(9), p_r=np.zeros(9),
+                          mean_n=np.zeros(9), top_site_occupancy=0.0)
+        assert intensity_map_pgm(traj) == whole_map_pgm(pnt)
+    e0 = FullState.basis_state("e", 0, 48)
+    traj = run_trajectory(RabiParams(omega0=0.1, omega=0.23, g=0.15, n_trunc=48), e0, 30.0, 0.5)
+    assert intensity_map_pgm(traj) == whole_map_pgm(traj.pnt)
