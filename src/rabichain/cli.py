@@ -122,6 +122,8 @@ def _check_grid(params: RabiParams, t_max: float, dt: float, grid: str, runs: in
 def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     if cfg.t_max is None:
         raise ConfigError("grid.t_max is required by simulate")
+    if not cfg.outputs and not image:
+        raise ConfigError("output.outputs is empty and --image is not set: nothing to write")
     dt = cfg.dt if cfg.dt is not None else SIMULATE_DEFAULT_DT
     _check_grid(cfg.params, cfg.t_max, dt, f"grid.t_max = {cfg.t_max!r}, grid.dt = {dt!r}")
     traj = run_trajectory(cfg.params, cfg.initial, cfg.t_max, dt)
@@ -140,8 +142,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     return EXIT_OK
 
 
-def _sweep_point(params: RabiParams, omega0: float, dt: float):
-    """One sweep point, using the device convention for signed omega0.
+def _sweep_point(params: RabiParams, omega0: float, t_bounce: float, dt: float):
+    """One sweep point over [0, t_bounce], using the device convention for signed omega0.
 
     ``params`` is the model with |omega0|; the sign selects the initial
     state (excited for omega0 >= 0, ground otherwise).  The two choices
@@ -150,7 +152,6 @@ def _sweep_point(params: RabiParams, omega0: float, dt: float):
     """
     branch = "e" if omega0 >= 0 else "g"
     initial = FullState.basis_state(branch, 0, params.n_trunc)
-    t_bounce = 2.0 * math.pi / params.omega
     traj = run_trajectory(params, initial, t_bounce, dt)
     population = traj.p_e if omega0 >= 0 else traj.p_g
     return (
@@ -184,7 +185,7 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     # the pool owns the parallelism: its workers share the cores with no BLAS threads on top
     with _blas_threads(max(1, cpus // runs)), ThreadPoolExecutor(max_workers=runs) as pool:
-        rows = list(pool.map(lambda p, v: _sweep_point(p, v, dt), models, omega0_list))
+        rows = list(pool.map(lambda p, v: _sweep_point(p, v, t_bounce, dt), models, omega0_list))
     write_text(out_dir / "sweep.tsv", sweep_summary_text(rows))
     return EXIT_OK
 

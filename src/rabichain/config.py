@@ -18,10 +18,11 @@ import numpy as np
 
 from .lattice import CouplingCalibration, OpticalConstants
 from .model import FullState, RabiParams
+from .output import _BLOCK_VALUES
 
 OUTPUT_KINDS = ("timeseries", "intensity_map")
 
-_MODEL_KEYS = {"omega0", "omega", "g", "n_trunc", "initial", "initial_e", "initial_g"}
+_MODEL_KEYS = {f.name for f in fields(RabiParams)} | {"initial", "initial_e", "initial_g"}
 _GRID_KEYS = {"t_max", "dt"}
 _OUTPUT_KEYS = {"outputs", "dir"}
 _DESIGN_KEYS = {"n_guides"} | {
@@ -53,12 +54,12 @@ MATRIX_BYTES = 48
 CELL_BYTES = 72
 # The output phase of simulate: per map cell, the map's text (17 characters
 # and a tab per value) and the PGM raster's float and uint8 copies; once, the
-# block being encoded by output.format_rows, 2^16 values at most, each held
+# block being encoded by output.format_rows, _BLOCK_VALUES at most, each held
 # as a float in the block (8), five float or int64 arrays (the live columns'
 # copy, |x|, e, m and the digits; 40), two bool masks (2), its 20-byte cell of
 # uint32 words, the cell's keep mask, the kept bytes and their str (80).
 OUTPUT_CELL_BYTES = 18 + 16
-FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * 2**16
+FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * _BLOCK_VALUES
 # design, per guide.  Arrays: lattice.design's 13 float arrays while the
 # recipe copies 7 of them (160), then the recipe and the report's 9 arrays
 # (128) with verify_recipe's list of Python floats and temporaries (64).
@@ -247,7 +248,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"design.n_guides: must be >= 2, got {n_guides}")
         check_memory("design.n_guides", n_guides=n_guides)
         try:
-            cal = _with_design_keys(CouplingCalibration.default(), d)
+            cal = _with_design_keys(CouplingCalibration(), d)
             oc = _with_design_keys(OpticalConstants(), d)
         except ValueError as exc:
             raise ConfigError(f"design: {exc}") from None

@@ -117,7 +117,7 @@ def build_chain(params: RabiParams, chain: ParityChain) -> ChainHamiltonian:
     n = params.n_trunc
     sites = np.arange(n, dtype=float)
     diag = chain.sign * ((-1.0) ** sites) * params.omega0 / 2.0 + sites * params.omega
-    offdiag = coupling_ladder(params)
+    offdiag = coupling_ladder(params.g, n)
 
     try:
         evals, evecs = eigh_tridiagonal(diag, offdiag)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import RabiParams, coupling
+from .model import RabiParams, coupling_ladder
 from .output import format_rows
 
 RECIPE_DEVIATION_TOL = 1e-6   # max relative deviation of a recipe that `design` writes
@@ -51,13 +51,16 @@ class CouplingCalibration:
     gamma  : decay rate, um^-1
     d_ref  : reference spacing, um
     d_min, d_max : validity window of the law, um
+
+    The defaults anchor kappa = 0.15 mm^-1 at 14 um and kappa = 0.15 sqrt(14)
+    (the strongest coupling of a 15-guide array at g = 0.15) at 6.6 um.
     """
 
-    kappa0: float
-    gamma: float
-    d_ref: float
-    d_min: float
-    d_max: float
+    kappa0: float = 0.15
+    gamma: float = math.log(math.sqrt(14.0)) / (14.0 - 6.6)
+    d_ref: float = 14.0
+    d_min: float = 6.0
+    d_max: float = 15.0
 
     def __post_init__(self):
         if not self.kappa0 > 0:
@@ -73,27 +76,16 @@ class CouplingCalibration:
         """Coupling at spacing d (um) -> mm^-1."""
         return self.kappa0 * np.exp(-self.gamma * (np.asarray(d_um) - self.d_ref))
 
-    def _window_end(self, d_um: float) -> float:
-        # kappa(d) in Python floats, inf past exp's range: an extreme window end is inf or
-        # 0.0, with no numpy overflow warning
-        exponent = -self.gamma * (d_um - self.d_ref)
-        return self.kappa0 * float(np.exp(exponent)) if exponent <= 709.78 else math.inf
-
+    # an extreme window end is inf or 0.0, with no overflow warning
     @property
     def kappa_min(self) -> float:
-        return self._window_end(self.d_max)
+        with np.errstate(over="ignore"):
+            return float(self.kappa(self.d_max))
 
     @property
     def kappa_max(self) -> float:
-        return self._window_end(self.d_min)
-
-    @classmethod
-    def default(cls) -> "CouplingCalibration":
-        """Calibration anchored so that kappa = 0.15 mm^-1 sits at 14 um and
-        kappa = 0.15 sqrt(14) (the strongest coupling of a 15-guide array at
-        g = 0.15) sits at 6.6 um."""
-        gamma = math.log(math.sqrt(14.0)) / (14.0 - 6.6)
-        return cls(kappa0=0.15, gamma=gamma, d_ref=14.0, d_min=6.0, d_max=15.0)
+        with np.errstate(over="ignore"):
+            return float(self.kappa(self.d_min))
 
 
 @dataclass(frozen=True)
@@ -223,8 +215,7 @@ def design(
 
     n_steps = n_guides - 1
     spacings = np.empty(n_steps)
-    for n in range(n_steps):
-        target = coupling(n, params.g)
+    for n, target in enumerate(coupling_ladder(params.g, n_guides).tolist()):
         try:
             spacings[n] = spacing_for_coupling(cal, target)
         except CouplingRangeError as exc:
@@ -291,7 +282,7 @@ class RecipeReport:
     max_rel_deviation: float = field(init=False)
 
     def __post_init__(self):
-        devs = [np.abs(self.kappa_rel_dev).max(), np.abs(self.omega_rel_dev).max()]
+        devs = [self.kappa_rel_dev_max, self.omega_rel_dev_max]
         if np.abs(self.target_detuning).max() > 0:
             devs.append(
                 np.abs(self.detuning_dev).max() / np.abs(self.target_detuning).max()
@@ -340,7 +331,7 @@ def verify_recipe(
     n_steps = recipe.n_guides - 1
     spacings = recipe.spacing_um[:n_steps]
 
-    target_kappa = np.array([coupling(n, params.g) for n in range(n_steps)])
+    target_kappa = coupling_ladder(params.g, recipe.n_guides)
     achieved_kappa = np.asarray(cal.kappa(spacings), dtype=float)
     kappa_rel_dev = achieved_kappa / target_kappa - 1.0 if params.g > 0 else achieved_kappa * 0.0
 

@@ -167,18 +167,10 @@ class ChainState:
         return self.amp.shape[0]
 
 
-def coupling(n: int, g: float) -> float:
-    """Hopping amplitude between chain sites n and n+1: g * sqrt(n + 1)."""
-    if n < 0:
-        raise ValueError(f"site index must be >= 0, got {n}")
-    if g < 0:
-        raise ValueError(f"coupling strength must be >= 0, got {g}")
-    return g * math.sqrt(n + 1.0)
-
-
-def coupling_ladder(params: RabiParams) -> np.ndarray:
-    """All off-diagonal couplings kappa_0 .. kappa_{n_trunc-2} as an array."""
-    return params.g * np.sqrt(np.arange(1, params.n_trunc, dtype=float))
+def coupling_ladder(g: float, sites: int) -> np.ndarray:
+    """The hopping amplitudes kappa_n = g sqrt(n + 1) between sites n and n+1 of a
+    ``sites``-site chain, n = 0 .. sites-2."""
+    return g * np.sqrt(np.arange(1, sites, dtype=float))
 
 
 def decompose(state: FullState) -> tuple[ChainState, ChainState]:
@@ -202,8 +194,8 @@ def decompose(state: FullState) -> tuple[ChainState, ChainState]:
 def recompose(c: ChainState, f: ChainState) -> FullState:
     """Invert :func:`decompose`; exact (bit-for-bit) on the amplitudes.
 
-    Requires one C and one F component of equal length whose weights sum
-    to 1 within 1e-9.
+    Requires one C and one F component of equal length that together carry
+    norm 1 within 1e-9.
     """
     if {c.chain, f.chain} != {ParityChain.C, ParityChain.F}:
         raise ValueError("recompose needs one C-chain and one F-chain state")
@@ -212,11 +204,6 @@ def recompose(c: ChainState, f: ChainState) -> FullState:
     if c.n_trunc != f.n_trunc:
         raise ValueError(
             f"chain lengths differ: C has {c.n_trunc} sites, F has {f.n_trunc}"
-        )
-    total = c.weight + f.weight
-    if abs(total - 1.0) > RECOMPOSE_WEIGHT_TOL:
-        raise ValueError(
-            f"chain weights sum to {total!r}, expected 1 within {RECOMPOSE_WEIGHT_TOL}"
         )
     even = np.arange(c.n_trunc) % 2 == 0
     amp_e = np.where(even, c.amp, f.amp)

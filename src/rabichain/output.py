@@ -7,12 +7,12 @@ and runs.
 
 ``format_rows`` is the one float-to-text conversion.  It encodes a whole
 array at once: the decimal exponent e from ``floor(log10|x|)``, one
-multiply by a correctly rounded 10^(11-e) to a mantissa m in [1e11, 1e12)
-(re-scaled once from |x| when the estimate of e was one off), ``rint`` to
-the 12 digits, and table lookups for their text.  The two roundings of the
-multiply put m within 2.3e-4 of |x| * 10^(11-e), so ``rint`` gives the
-correctly rounded digits whenever m lies more than 1e-3 from a rounding
-tie.  A value within 1e-3 of a tie, with |e| >= 280 (10^(11-e) would leave
+multiply by a correctly rounded 10^(11-e) to a mantissa m, ``rint`` to the
+12 digits (10^12 carries into e), and table lookups for their text.  The
+two roundings of the multiply put m within 2.3e-4 of |x| * 10^(11-e), so
+``rint`` gives the correctly rounded digits whenever m lies more than 1e-3
+from a rounding tie.  A value within 1e-3 of a tie, with digits outside
+[1e11, 1e12] (a misestimated e), with |e| >= 280 (10^(11-e) would leave
 the table's range, and overflows at e = -298), or not finite goes through
 ``%`` instead, which rounds exact ties half to even.  Both zeros are encoded.
 """
@@ -71,10 +71,6 @@ def format_rows(table: np.ndarray, blank: np.ndarray | None = None) -> str:
     a[~vector] = 0.0                             # encoded as zero, overwritten below
     e = np.where(a > 0, e, 0).astype(np.int64)
     m = a * _POW10[_E_MAX - e]
-    off = np.flatnonzero((m >= 1e12) | ((m < 1e11) & (a > 0)))
-    if off.size:                                 # e was one off: scale again from |x|
-        e[off] += np.where(m[off] >= 1e12, 1, -1)
-        m[off] = a[off] * _POW10[_E_MAX - e[off]]
     n = np.rint(m)
     vector &= (np.abs(m - n) < 0.5 - 1e-3) & (((n >= 1e11) & (n <= 1e12)) | (a == 0))
     carry = n == 1e12

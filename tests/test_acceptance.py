@@ -194,7 +194,7 @@ def test_criterion_7_weak_coupling_limit():
 def test_criterion_8_design_roundtrip():
     """15-guide design: spacing anchors, speed window, detuning cap, verify."""
     with Stopwatch(1.0) as watch:
-        cal = CouplingCalibration.default()
+        cal = CouplingCalibration()
         oc = OpticalConstants()
         base = RabiParams(omega0=0.0, omega=OMEGA, g=G, n_trunc=15)
         recipe = design(base, cal, oc, 15)

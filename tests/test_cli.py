@@ -212,7 +212,7 @@ def test_design_writes_recipe_and_report(config_path, tmp_path):
     report = verify_recipe(
         recipe,
         RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=64),
-        CouplingCalibration.default(),
+        CouplingCalibration(),
         OpticalConstants(),
     )
     assert report.max_rel_deviation < 1e-6
@@ -388,6 +388,24 @@ def test_simulate_without_t_max_exits_1_naming_the_key(tmp_path, capsys, monkeyp
     assert rc == 1
     assert "config error: grid.t_max is required by simulate" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_with_nothing_to_write_exits_1_naming_the_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    cfg = tmp_path / "silent.cfg"
+    cfg.write_text(DSC_CONFIG + "\n[output]\noutputs =\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "config error: output.outputs is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_with_empty_outputs_and_image_writes_only_the_pgm(tmp_path):
+    cfg = tmp_path / "image.cfg"
+    cfg.write_text(DSC_CONFIG.replace("n_trunc = 64", "n_trunc = 16") + "\n[output]\noutputs =\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--image"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["intensity_map.pgm"]
 
 
 def test_simulate_dt_larger_than_t_max_exits_1_naming_the_key(tmp_path, capsys, monkeypatch):

@@ -19,10 +19,10 @@ from rabichain.lattice import (
     spacing_for_coupling,
     verify_recipe,
 )
-from rabichain.model import RabiParams, coupling
+from rabichain.model import RabiParams
 
 DSC = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=15)
-CAL = CouplingCalibration.default()
+CAL = CouplingCalibration()
 OC = OpticalConstants()
 
 

@@ -1,5 +1,7 @@
 """Basis types, the coupling law, and the chain permutation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from rabichain.model import (
     FullState,
     ParityChain,
     RabiParams,
-    coupling,
     coupling_ladder,
     decompose,
     recompose,
@@ -54,28 +55,23 @@ def test_params_reject_invalid(kwargs):
 # ---------------------------------------------------------------------------
 
 def test_coupling_first_site():
-    assert coupling(0, 0.15) == pytest.approx(0.15, abs=0)
+    assert coupling_ladder(0.15, 2)[0] == pytest.approx(0.15, abs=0)
 
 
 def test_coupling_perfect_square():
-    assert coupling(3, 0.15) == pytest.approx(0.30, abs=1e-15)
+    assert coupling_ladder(0.15, 5)[3] == pytest.approx(0.30, abs=1e-15)
 
 
 def test_coupling_strongest_of_15_guide_array():
     # largest hop in a 15-guide array: 0.15 * sqrt(14), by direct evaluation
-    assert coupling(13, 0.15) == pytest.approx(0.5612486080160912, abs=1e-15)
-
-
-def test_coupling_rejects_negative_arguments():
-    with pytest.raises(ValueError):
-        coupling(-1, 0.1)
-    with pytest.raises(ValueError):
-        coupling(0, -0.1)
+    ladder = coupling_ladder(0.15, 15)
+    assert ladder.shape == (14,)
+    assert ladder[-1] == pytest.approx(0.5612486080160912, abs=1e-15)
 
 
 def test_coupling_strictly_increasing_and_square_law():
     g = 0.37
-    values = [coupling(n, g) for n in range(40)]
+    values = coupling_ladder(g, 41).tolist()
     assert all(b > a for a, b in zip(values, values[1:]))
     # kappa_n^2 / g^2 recovers the integer n + 1 exactly up to rounding
     for n, k in enumerate(values):
@@ -83,10 +79,11 @@ def test_coupling_strictly_increasing_and_square_law():
 
 
 def test_coupling_ladder_matches_scalar_law():
-    p = RabiParams(omega0=0.0, omega=1.0, g=0.2, n_trunc=17)
-    ladder = coupling_ladder(p)
-    assert ladder.shape == (16,)
-    assert ladder == pytest.approx([coupling(n, 0.2) for n in range(16)])
+    # bit for bit: the recipe's targets and its hashed files rest on these exact values
+    for g, sites in [(0.2, 17), (0.15, 15), (0.37, 1024), (0.0, 2), (0.5, 1)]:
+        ladder = coupling_ladder(g, sites)
+        assert ladder.shape == (max(sites - 1, 0),)
+        assert ladder.tolist() == [g * math.sqrt(n + 1.0) for n in range(sites - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +205,7 @@ def test_recompose_rejects_weight_deficit():
     amp[0] = np.sqrt(0.5)
     c = ChainState(amp, ParityChain.C, 0.5)
     f = ChainState(np.zeros(4), ParityChain.F, 0.0)
-    with pytest.raises(ValueError, match="weights sum"):
+    with pytest.raises(ValueError, match="not normalized"):
         recompose(c, f)
 
 
