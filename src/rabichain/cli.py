@@ -242,6 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("simulate", "sweep", "validate"):
+        # the commands that solve load scipy now, not at their first eigensolve: its OpenBLAS
+        # is then mapped when _blas_threads caps the threads, and the import's allocations
+        # come before the large arrays (left to the first call, they raise the peak RSS)
+        import scipy.linalg  # noqa: F401
 
     try:
         if args.command == "validate":

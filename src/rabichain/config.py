@@ -52,13 +52,14 @@ class ConfigError(ValueError):
 # that is returned (8).
 MATRIX_BYTES = 48
 CELL_BYTES = 72
-# The output phase of simulate: per map cell, the map's text (17 characters
-# and a tab per value) and the PGM raster's float and uint8 copies; once, the
-# block being encoded by output.format_rows, _BLOCK_VALUES at most, each held
-# as a float in the block (8), five float or int64 arrays (the live columns'
-# copy, |x|, e, m and the digits; 40), two bool masks (2), its 20-byte cell of
-# uint32 words, the cell's keep mask, the kept bytes and their str (80).
-OUTPUT_CELL_BYTES = 18 + 16
+# The output phase of simulate, which writes each table block as soon as it
+# is formatted and holds no table's text whole: per map cell, the PGM
+# raster's float and uint8 copies; once, the block being encoded by
+# output.format_rows, _BLOCK_VALUES at most, each held as a float in the
+# block (8), five float or int64 arrays (the live columns' copy, |x|, e, m and
+# the digits; 40), two bool masks (2), its 20-byte cell of uint32 words, the
+# cell's keep mask, the kept bytes and their str (80).
+OUTPUT_CELL_BYTES = 16
 FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * _BLOCK_VALUES
 # design, per guide.  Arrays: lattice.design's 13 float arrays while the
 # recipe copies 7 of them (160), then the recipe and the report's 9 arrays

@@ -42,6 +42,11 @@ as an independent cross-check and is used only in tests and the validation
 suite.  It mirrors the production path: :func:`full_rabi_amplitudes` runs
 one ``eigh`` per model and evolves over a whole time grid, and
 :func:`full_rabi_reference` is that function on the one-point grid {t}.
+
+scipy is imported where its solvers are called, by :func:`eigh_tridiagonal`
+and :func:`full_rabi_amplitudes`, so importing this module (and the package)
+loads no scipy.  The CLI imports ``scipy.linalg`` when a command that solves
+starts, before it caps the BLAS threads or allocates anything.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 
 from .model import (
     NORM_TOL,
@@ -65,6 +69,13 @@ from .model import (
 DECOMPOSITION_TOL = 1e-10     # residual / orthogonality bound on the eigensolve
 TRUNCATION_OCCUPANCY = 1e-8   # top-two-site occupancy that flags a trajectory
 FULL_RABI_MAX_TRUNC = 256     # the dense oracle is O((2 n_trunc)^3)
+
+
+def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.linalg.eigh_tridiagonal, with scipy imported on the first call."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(diag, offdiag)
 
 
 class EigendecompositionError(RuntimeError):
@@ -292,14 +303,13 @@ def full_rabi_matrix(params: RabiParams) -> np.ndarray:
     dim = 2 * n
     h = np.zeros((dim, dim))
     m = np.arange(n, dtype=float)
-    h[2 * np.arange(n), 2 * np.arange(n)] = -params.omega0 / 2.0 + m * params.omega
-    h[2 * np.arange(n) + 1, 2 * np.arange(n) + 1] = params.omega0 / 2.0 + m * params.omega
-    for k in range(n - 1):
-        amp = params.g * np.sqrt(k + 1.0)
-        h[2 * k + 1, 2 * (k + 1)] = amp      # <e,k|H|g,k+1>
-        h[2 * (k + 1), 2 * k + 1] = amp
-        h[2 * k, 2 * (k + 1) + 1] = amp      # <g,k|H|e,k+1>
-        h[2 * (k + 1) + 1, 2 * k] = amp
+    g_sites, e_sites = 2 * np.arange(n), 2 * np.arange(n) + 1
+    h[g_sites, g_sites] = -params.omega0 / 2.0 + m * params.omega
+    h[e_sites, e_sites] = params.omega0 / 2.0 + m * params.omega
+    k = np.arange(n - 1)
+    amp = params.g * np.sqrt(k + 1.0)
+    h[e_sites[:-1], g_sites[1:]] = h[g_sites[1:], e_sites[:-1]] = amp   # <e,k|H|g,k+1>
+    h[g_sites[:-1], e_sites[1:]] = h[e_sites[1:], g_sites[:-1]] = amp   # <g,k|H|e,k+1>
     return h
 
 
@@ -322,6 +332,8 @@ def full_rabi_amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndar
     psi0 = np.empty(2 * params.n_trunc, dtype=complex)
     psi0[0::2] = initial.amp_g
     psi0[1::2] = initial.amp_e
+    from scipy.linalg import eigh
+
     evals, evecs = eigh(full_rabi_matrix(params))
     psi_t = evecs @ (np.exp(-1j * np.outer(evals, t_grid)) * (evecs.T @ psi0)[:, None])
     return psi_t[1::2], psi_t[0::2]

@@ -19,6 +19,7 @@ the table's range, and overflows at e = -298), or not finite goes through
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -102,19 +103,21 @@ def format_rows(table: np.ndarray, blank: np.ndarray | None = None) -> str:
     return str(text[keep].data, "ascii")
 
 
-def _table_text(header: str, *columns: np.ndarray) -> list[str]:
-    """The header line, then one tab-separated line per row, as a list of text blocks.
+def _table_text(header: str, *columns: np.ndarray) -> Iterator[str]:
+    """The header line, then one tab-separated line per row, yielded as text blocks.
 
     ``columns`` are 1-D or 2-D float arrays with one entry (or row) per
     table row; they are put side by side a block of rows at a time, and
     every value is written by ``format_rows``.  The trailing columns of a
     block that hold +0.0 (by bit pattern, so -0.0 is still encoded) in
-    every row are appended to each line as literal text.
+    every row are appended to each line as literal text.  A block is
+    formatted only when the one before it has been consumed, so a writer
+    never holds more than one block's text.
     """
     rows = columns[0].shape[0]
     cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     block = max(1, _BLOCK_VALUES // cols)
-    parts = [header + "\n"]
+    yield header + "\n"
     for start in range(0, rows, block):
         chunk = np.column_stack([c[start:start + block] for c in columns])
         live = np.flatnonzero(chunk.view(np.uint64).any(axis=0))
@@ -122,18 +125,17 @@ def _table_text(header: str, *columns: np.ndarray) -> list[str]:
         text = format_rows(chunk[:, :width])
         if width < cols:
             text = text.replace("\n", "\t" * (width > 0) + "\t".join([_ZERO] * (cols - width)) + "\n")
-        parts.append(text)
-    return parts
+        yield text
 
 
-def timeseries_text(traj: Trajectory) -> list[str]:
+def timeseries_text(traj: Trajectory) -> Iterator[str]:
     return _table_text(
         "t_mm\tP_e\tP_g\tP_r\tmean_n",
         traj.t_grid, traj.p_e, traj.p_g, traj.p_r, traj.mean_n,
     )
 
 
-def intensity_map_text(traj: Trajectory) -> list[str]:
+def intensity_map_text(traj: Trajectory) -> Iterator[str]:
     """Rows are grid times (top to bottom), columns are sites (left to right)."""
     n = traj.pnt.shape[1]
     header = "t_mm\t" + "\t".join(f"P{j}" for j in range(n))
@@ -160,13 +162,15 @@ def intensity_map_pgm(traj: Trajectory) -> bytes:
     return header + data.tobytes()
 
 
-def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> list[str]:
+def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> Iterator[str]:
     table = np.array(rows, dtype=float).reshape(len(rows), 4)
     return _table_text("omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n", table)
 
 
-def write_text(path: Path, text: str | list[str]) -> None:
-    """Write a string, or a formatter's list of text blocks one after another, as ASCII.
+def write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write a string, or an iterable of blocks one after another, as ASCII.
+
+    A formatter's iterator is consumed as the file is written, one block at a time.
 
     No newline translation: the file holds ``\\n`` line ends on every platform.
     """

@@ -1,6 +1,9 @@
 """CLI commands end to end: files, determinism, exit codes."""
 
 import contextlib
+import inspect
+import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -202,6 +205,68 @@ def test_blas_cap_does_nothing_without_an_openblas_listed(tmp_path, monkeypatch,
     with cli._blas_threads(1):
         assert counts() == before
     assert counts() == before
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a new interpreter on this rabichain; its last stdout line, as JSON.
+
+    pytest has imported scipy here already: what a command loads, and when,
+    shows only in a fresh process.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_design_load_no_scipy(config_path, tmp_path):
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import rabichain.cli\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        "rc = rabichain.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([rc, *loaded, 'scipy' in sys.modules]))\n",
+        "design", "--config", config_path, "--out", tmp_path / "out",
+    )
+    assert loaded == [0, False, False]
+    assert (tmp_path / "out" / "recipe.tsv").exists()
+
+
+# Records the thread counts once the command's solves have run, still inside
+# its cap: scipy's OpenBLAS is mapped by then, even if the command loaded it late.
+FRESH_BLAS = """
+import json, sys
+from rabichain import cli
+seen = {}
+def recorded(name, fn):
+    def call(*args):
+        result = fn(*args)
+        seen[name] = blas_threads()
+        return result
+    return call
+cli.run_validation = recorded("validate", cli.run_validation)
+cli._sweep_point = recorded("sweep", cli._sweep_point)
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "seen": seen, "after": blas_threads()}))
+"""
+
+
+@needs_openblas
+def test_validate_caps_every_openblas_in_a_fresh_interpreter():
+    run = run_fresh(inspect.getsource(blas_threads) + FRESH_BLAS, "validate")
+    assert run["rc"] == 0
+    assert run["seen"]["validate"] == {lib: 1 for lib in run["after"]}
+
+
+@needs_openblas
+def test_sweep_caps_every_openblas_in_a_fresh_interpreter(config_path, tmp_path):
+    run = run_fresh(inspect.getsource(blas_threads) + FRESH_BLAS,
+                    "sweep", "--config", config_path, "--out", tmp_path / "out",
+                    "--omega0-list=-0.04,0,0.04", "--jobs", "2")
+    assert run["rc"] == 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert run["seen"]["sweep"] == {lib: min(n, max(1, cpus // 2)) for lib, n in run["after"].items()}
 
 
 def test_design_writes_recipe_and_report(config_path, tmp_path):

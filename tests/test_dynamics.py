@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -480,6 +481,27 @@ def test_full_rabi_matrix_is_symmetric_and_blockless():
     assert h[2, 2] == pytest.approx(-0.055 + 0.29)
     # coupling between |e,0> and |g,1>
     assert h[1, 2] == pytest.approx(0.21)
+
+
+def loop_full_rabi_matrix(params):
+    """The dense Hamiltonian entry by entry, one coupling at a time."""
+    n = params.n_trunc
+    h = np.zeros((2 * n, 2 * n))
+    for m in range(n):
+        h[2 * m, 2 * m] = -params.omega0 / 2.0 + m * params.omega
+        h[2 * m + 1, 2 * m + 1] = params.omega0 / 2.0 + m * params.omega
+    for k in range(n - 1):
+        amp = params.g * np.sqrt(k + 1.0)
+        h[2 * k + 1, 2 * (k + 1)] = h[2 * (k + 1), 2 * k + 1] = amp      # <e,k|H|g,k+1>
+        h[2 * k, 2 * (k + 1) + 1] = h[2 * (k + 1) + 1, 2 * k] = amp      # <g,k|H|e,k+1>
+    return h
+
+
+@pytest.mark.parametrize("n_trunc", [1, 2, 17])
+def test_full_rabi_matrix_equals_the_entry_by_entry_matrix(n_trunc):
+    # RabiParams refuses n_trunc 1; the matrix reads only these four fields
+    p = SimpleNamespace(omega0=0.11, omega=0.29, g=0.21, n_trunc=n_trunc)
+    assert np.array_equal(full_rabi_matrix(p), loop_full_rabi_matrix(p))
 
 
 def test_full_rabi_uncoupled_phases():

@@ -40,7 +40,7 @@ def test_edge_values_format_like_the_f_string():
 
 
 def test_empty_table_is_the_header_line():
-    assert _table_text("a\tb", np.empty((0, 2))) == ["a\tb\n"]
+    assert list(_table_text("a\tb", np.empty((0, 2)))) == ["a\tb\n"]
 
 
 @given(
@@ -96,7 +96,7 @@ def test_blocks_with_different_live_widths_format_like_the_f_string():
     # block 3 is all zeros
     table[3 * rows_per_block:, 0] = rng.normal(size=rows_per_block + 5)      # 1 live
     table[-1, -1] = -0.0                                                       # ...and -0.0
-    assert len(_table_text("h", table)) == 1 + 5                              # header + 5 blocks
+    assert len(list(_table_text("h", table))) == 1 + 5                        # header + 5 blocks
     table_matches_per_value_text(table)
 
 
@@ -223,7 +223,7 @@ def test_blank_cells_keep_only_their_separator():
 
 
 def test_write_text_writes_the_blocks_as_ascii_with_newline_line_ends(tmp_path):
-    blocks = _table_text("a\tb", np.array([[1.5, -0.0], [np.inf, 1e-300]]))
+    blocks = list(_table_text("a\tb", np.array([[1.5, -0.0], [np.inf, 1e-300]])))
     path = tmp_path / "table.tsv"
     write_text(path, blocks)
     assert path.read_bytes() == "".join(blocks).encode("ascii")
