@@ -163,7 +163,7 @@ def _build_initial(section: dict[str, str], params: RabiParams) -> FullState:
             raise ConfigError(f"model.initial_e/initial_g: {exc}") from None
     label = section.get("initial", "e0").strip()
     branch, idx = label[:1], label[1:]
-    if branch not in ("e", "g") or not idx.isdigit():
+    if branch not in ("e", "g") or not (idx.isascii() and idx.isdigit()):
         raise ConfigError(
             f"model.initial: expected a qubit branch plus Fock index "
             f"(e.g. 'e0', 'g3'), got {label!r}"
@@ -186,7 +186,8 @@ def _with_design_keys(default, section: dict[str, str]):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration; raises ConfigError."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name a section "\n", so [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -268,7 +269,7 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(text)

@@ -16,12 +16,12 @@ grid.
 There is one propagation path, ``_amplitudes``.  It decomposes the
 initial state, builds each non-empty chain, evolves it over a time grid
 with ``_evolve_grid`` and writes the chain sites back onto the qubit
-branches, a_n and b_n; it is the only code here that maps chain sites
-onto the branches.  :func:`run_trajectory` runs it over the whole output grid
-and :func:`chain_reference_state` over the one-point grid {t}.  The
-observables P(n), P_e, P_r and <n> have one implementation,
-:func:`observables`, for the amplitudes of one state, shape (n,), or of
-a time grid, shape (n, nt).
+branches, a_n and b_n, with ``model.to_branches``, the inverse that the
+decompose/recompose round-trip checks.  :func:`run_trajectory` runs it
+over the whole output grid and :func:`chain_reference_state` over the
+one-point grid {t}.  The observables P(n), P_e, P_r and <n> have one
+implementation, :func:`observables`, for the amplitudes of one state,
+shape (n,), or of a time grid, shape (n, nt).
 
 Only the live eigencomponents, those with a nonzero coefficient
 c_k = (V^T psi(0))_k, get a phase factor; the other rows of the phase
@@ -64,6 +64,7 @@ from .model import (
     RabiParams,
     coupling_ladder,
     decompose,
+    to_branches,
 )
 
 DECOMPOSITION_TOL = 1e-10     # residual / orthogonality bound on the eigensolve
@@ -171,9 +172,8 @@ def _evolve_grid(h: ChainHamiltonian, coeffs: np.ndarray, t_grid: np.ndarray) ->
 def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
     """Amplitudes a_n, b_n at every time of ``t_grid`` on the sites either chain reaches.
 
-    Returns (amp_e, amp_g), each of shape (reach, len(t_grid)); every site
-    past reach is exactly empty (module docstring).  The C chain holds a_n
-    on even sites and b_n on odd ones, the F chain the reverse.
+    Returns one array, a_n then b_n, of shape (2, reach, len(t_grid)); every
+    site past reach is exactly empty (module docstring).
     """
     if initial.n_trunc != params.n_trunc:
         raise DimensionMismatchError(
@@ -184,13 +184,7 @@ def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
         if part.weight != 0.0:
             h = build_chain(params, part.chain)
             amps[part.chain] = _evolve_grid(h, h.eigenvectors.T @ part.amp, t_grid)
-    reach = max(amp.shape[0] for amp in amps.values())
-    amp_e, amp_g = np.zeros((2, reach, t_grid.shape[0]), dtype=complex)
-    for chain, amp in amps.items():
-        on_e = 0 if chain is ParityChain.C else 1
-        amp_e[on_e:amp.shape[0]:2] = amp[on_e::2]
-        amp_g[1 - on_e:amp.shape[0]:2] = amp[1 - on_e::2]
-    return amp_e, amp_g
+    return to_branches(amps)
 
 
 @dataclass

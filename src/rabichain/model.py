@@ -10,7 +10,10 @@ The relabeling is a pure permutation of the amplitudes:
     c_n = a_n (n even),  c_n = b_n (n odd)     -> C chain
     f_n = b_n (n even),  f_n = a_n (n odd)     -> F chain
 
-Everything here is an immutable value type; operations are pure functions.
+The rule is written once, in :attr:`ParityChain.branches`.  :func:`decompose`
+reads it, and so does its inverse :func:`to_branches`, which :func:`recompose`
+and the propagation in ``rabichain.dynamics`` both call.  Operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +43,11 @@ class ParityChain(Enum):
     def sign(self) -> float:
         """Sign of the alternating diagonal term: +1 for C, -1 for F."""
         return 1.0 if self is ParityChain.C else -1.0
+
+    @property
+    def branches(self) -> tuple[int, int]:
+        """The qubit branches (0: a_n, 1: b_n) that this chain's even and odd sites hold."""
+        return (0, 1) if self is ParityChain.C else (1, 0)
 
 
 def _readonly_complex(values, name: str, n_trunc: int | None = None) -> np.ndarray:
@@ -108,7 +117,7 @@ class FullState:
         if not np.all(part <= math.sqrt(1.0 + norm_tol)):
             raise ValueError(
                 f"state not normalized: an amplitude has a part of magnitude "
-                f"{part.max()!r}, or one that is not finite"
+                f"{float(part.max())!r}, or one that is not finite"
             )
         norm_sq = float(np.sum(np.abs(amp_e) ** 2) + np.sum(np.abs(amp_g) ** 2))
         if not abs(norm_sq - 1.0) <= norm_tol:   # a NaN norm fails too
@@ -136,35 +145,13 @@ class FullState:
         return cls(amp_e, amp_g)
 
 
-@dataclass(frozen=True)
-class ChainState:
-    """Amplitude vector over the sites of one parity chain.
-
-    ``weight`` is the fraction of total norm carried by this chain; the
-    squared amplitudes must sum to it within 1e-12.
-    """
+class ChainState(NamedTuple):
+    """Amplitude vector over the sites of one parity chain; ``weight`` is the
+    fraction of total norm it carries, sum |amp|^2."""
 
     amp: np.ndarray
     chain: ParityChain
     weight: float
-
-    def __init__(self, amp, chain: ParityChain, weight: float):
-        amp = _readonly_complex(amp, "amp")
-        if not 0.0 <= weight <= 1.0 + NORM_TOL:
-            raise ValueError(f"weight must lie in [0, 1], got {weight!r}")
-        got = float(np.sum(np.abs(amp) ** 2))
-        if not abs(got - weight) <= NORM_TOL:
-            raise ValueError(
-                f"chain amplitudes carry norm {got!r}, declared weight {weight!r} "
-                f"(tolerance {NORM_TOL})"
-            )
-        object.__setattr__(self, "amp", amp)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "weight", weight)
-
-    @property
-    def n_trunc(self) -> int:
-        return self.amp.shape[0]
 
 
 def coupling_ladder(g: float, sites: int) -> np.ndarray:
@@ -179,33 +166,42 @@ def decompose(state: FullState) -> tuple[ChainState, ChainState]:
     Even sites of C take a_n, odd sites take b_n; F is the mirror image.
     The two weights sum to the total norm (= 1) exactly up to rounding.
     """
-    n = state.n_trunc
-    even = np.arange(n) % 2 == 0
-    c_amp = np.where(even, state.amp_e, state.amp_g)
-    f_amp = np.where(even, state.amp_g, state.amp_e)
-    c_w = float(np.sum(np.abs(c_amp) ** 2))
-    f_w = float(np.sum(np.abs(f_amp) ** 2))
-    return (
-        ChainState(c_amp, ParityChain.C, c_w),
-        ChainState(f_amp, ParityChain.F, f_w),
-    )
+    branches = (state.amp_e, state.amp_g)
+    parts = []
+    for chain in ParityChain:
+        amp = np.empty(state.n_trunc, dtype=complex)
+        for parity, branch in enumerate(chain.branches):
+            amp[parity::2] = branches[branch][parity::2]
+        parts.append(ChainState(amp, chain, float(np.sum(np.abs(amp) ** 2))))
+    return tuple(parts)
+
+
+def to_branches(chains: dict[ParityChain, np.ndarray]) -> np.ndarray:
+    """Write chain amplitudes back onto the qubit branches: the inverse of :func:`decompose`.
+
+    ``chains`` maps a chain to its amplitudes on its first m sites, shape
+    (m,) or (m, nt).  Returns one complex array of shape (2, reach) or
+    (2, reach, nt), reach the longest m, holding a_n then b_n; a missing
+    chain and the sites past a shorter one are left empty.
+    """
+    reach = max(amp.shape[0] for amp in chains.values())
+    out = np.zeros((2, reach) + next(iter(chains.values())).shape[1:], dtype=complex)
+    for chain, amp in chains.items():
+        for parity, branch in enumerate(chain.branches):
+            out[branch, parity:amp.shape[0]:2] = amp[parity::2]
+    return out
 
 
 def recompose(c: ChainState, f: ChainState) -> FullState:
-    """Invert :func:`decompose`; exact (bit-for-bit) on the amplitudes.
+    """Invert :func:`decompose` through :func:`to_branches`; exact (bit-for-bit).
 
     Requires one C and one F component of equal length that together carry
     norm 1 within 1e-9.
     """
     if {c.chain, f.chain} != {ParityChain.C, ParityChain.F}:
         raise ValueError("recompose needs one C-chain and one F-chain state")
-    if c.chain is ParityChain.F:
-        c, f = f, c
-    if c.n_trunc != f.n_trunc:
-        raise ValueError(
-            f"chain lengths differ: C has {c.n_trunc} sites, F has {f.n_trunc}"
-        )
-    even = np.arange(c.n_trunc) % 2 == 0
-    amp_e = np.where(even, c.amp, f.amp)
-    amp_g = np.where(even, f.amp, c.amp)
-    return FullState(amp_e, amp_g, norm_tol=RECOMPOSE_WEIGHT_TOL)
+    if c.amp.shape[0] != f.amp.shape[0]:
+        raise ValueError(f"chain lengths differ: {c.chain.name} has {c.amp.shape[0]} sites, "
+                         f"{f.chain.name} has {f.amp.shape[0]}")
+    return FullState(*to_branches({c.chain: c.amp, f.chain: f.amp}),
+                     norm_tol=RECOMPOSE_WEIGHT_TOL)

@@ -623,6 +623,15 @@ def test_eigensolve_out_of_tolerance_exits_2(config_path, tmp_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
+def test_default_section_is_an_unknown_section(tmp_path, capsys):
+    # configparser would copy its keys into [model], which lacks omega here
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[DEFAULT]\nomega = 0.23\n" + DSC_CONFIG.replace("omega = 0.23\n", ""))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--omega0-list=0"]) == 1
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
+
 def test_missing_config_exits_1(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert rc == 1

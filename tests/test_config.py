@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rabichain.config import ConfigError, parse_config
+from rabichain.config import ConfigError, load_config, parse_config
 
 MINIMAL = """
 [model]
@@ -46,6 +46,13 @@ def test_unknown_section_rejected():
         parse_config(MINIMAL + "\n[extras]\nfoo = 1\n")
 
 
+def test_config_file_that_is_not_utf8_is_refused_by_name(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"[model]\nomega=0.23\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file .*latin1.cfg"):
+        load_config(path)
+
+
 def test_syntax_error_reported_with_line():
     with pytest.raises(ConfigError, match="syntax"):
         parse_config("[model\nomega = 1\n")
@@ -61,6 +68,9 @@ def test_initial_fock_index_bounds():
         parse_config(MINIMAL.replace("initial = e0", "initial = g99"))
     with pytest.raises(ConfigError, match="initial"):
         parse_config(MINIMAL.replace("initial = e0", "initial = x2"))
+    # a digit to str.isdigit() that int() does not parse
+    with pytest.raises(ConfigError, match="model.initial"):
+        parse_config(MINIMAL.replace("initial = e0", "initial = e\u00b2"))
 
 
 def test_ground_state_label():

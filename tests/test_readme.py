@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from rabichain.config import _SECTIONS
+from rabichain.config import _SECTIONS, parse_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -22,3 +22,10 @@ def test_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", README, flags=re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_example_configuration_parses():
+    blocks = re.findall(r"^```ini\n(.*?)^```", README, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert (cfg.params.omega, cfg.t_max, cfg.design.n_guides) == (0.23, 60.0, 15)
