@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -182,9 +181,9 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
         f"(sweep does not read grid.t_max)",
         runs=runs,
     )
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # the pool owns the parallelism: its workers share the cores with no BLAS threads on top
-    with _blas_threads(max(1, cpus // runs)), ThreadPoolExecutor(max_workers=runs) as pool:
+    # one BLAS thread per worker, whatever --jobs is: the pool owns the parallelism, and at a
+    # sweep point's sizes BLAS threads cost more CPU time than they save wall time
+    with _blas_threads(1), ThreadPoolExecutor(max_workers=runs) as pool:
         rows = list(pool.map(lambda p, v: _sweep_point(p, v, t_bounce, dt), models, omega0_list))
     write_text(out_dir / "sweep.tsv", sweep_summary_text(rows))
     return EXIT_OK

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import BLOCK_POINTS, MIN_TAIL_POINTS
 from .lattice import CouplingCalibration, OpticalConstants
 from .model import FullState, RabiParams
 from .output import _BLOCK_VALUES
@@ -42,16 +43,20 @@ class ConfigError(ValueError):
 
 # Upper bounds on the bytes a command holds at once, counted from the code.
 #
-# run_trajectory, per n_trunc^2 and per grid cell (point x site), for two
-# occupied chains that reach every site.  Per n_trunc^2: the two chains' float
-# eigenvector matrices (16), plus either build_chain's three float
-# verification temporaries (24) or an evolving chain's complex copy of V and
-# its live columns (24).  Per cell: the complex right-hand side, its two
-# complex phase temporaries and the other chain's complex product (64;
-# amp_e/amp_g and the observables hold no more), then the float map P(n, t)
-# that is returned (8).
-MATRIX_BYTES = 48
-CELL_BYTES = 72
+# run_trajectory, for two occupied chains that reach every site.  Per
+# n_trunc^2: the two chains' float eigenvector matrices (16), plus either
+# build_chain's two float verification temporaries or an evolving chain's
+# complex copy of V (16).  Per site and point of the largest block (64): the
+# complex right-hand side, its two complex phase temporaries and the other
+# chain's complex product; to_branches' output next to both products; or the
+# amplitudes next to the observables' temporaries.  Per grid cell (point x
+# site), the float map P(n, t) that is returned (8); per point, the grid and
+# P_e, P_g, P_r and <n> (40).
+MATRIX_BYTES = 32
+BLOCK_CELL_BYTES = 64
+CELL_BYTES = 8
+POINT_BYTES = 40
+LARGEST_BLOCK = BLOCK_POINTS + MIN_TAIL_POINTS - 1
 # The output phase of simulate, which writes each table block as soon as it
 # is formatted and holds no table's text whole: per map cell, the PGM
 # raster's float and uint8 copies; once, the block being encoded by
@@ -90,7 +95,9 @@ def check_memory(
     # floats: a count past 2^64 is refused all the same, a negative one elsewhere
     n, guides = (float(min(max(count, 0), 2**64)) for count in (n_trunc, n_guides))
     cells = points * n
-    need = (runs * (MATRIX_BYTES * n * n + CELL_BYTES * cells) + GUIDE_BYTES * guides
+    need = (runs * (MATRIX_BYTES * n * n + BLOCK_CELL_BYTES * n * min(points, LARGEST_BLOCK)
+                    + CELL_BYTES * cells + POINT_BYTES * points)
+            + GUIDE_BYTES * guides
             + (OUTPUT_CELL_BYTES * cells + FORMAT_BLOCK_BYTES if points else 0))
     physical = _physical_memory_bytes()
     if need > physical:

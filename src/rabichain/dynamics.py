@@ -14,28 +14,38 @@ with no step error; the requested time grid is purely an output-sampling
 grid.
 
 There is one propagation path, ``_amplitudes``.  It decomposes the
-initial state, builds each non-empty chain, evolves it over a time grid
-with ``_evolve_grid`` and writes the chain sites back onto the qubit
-branches, a_n and b_n, with ``model.to_branches``, the inverse that the
-decompose/recompose round-trip checks.  :func:`run_trajectory` runs it
-over the whole output grid and :func:`chain_reference_state` over the
-one-point grid {t}.  The observables P(n), P_e, P_r and <n> have one
-implementation, :func:`observables`, for the amplitudes of one state,
-shape (n,), or of a time grid, shape (n, nt).
+initial state, builds each non-empty chain once with its eigenbasis
+coefficients, live components and reach (``_chain_evolution``), then
+evolves the chains over the time grid one block at a time and writes the
+chain sites back onto the qubit branches, a_n and b_n, with
+``model.to_branches``, the inverse that the decompose/recompose
+round-trip checks.  :func:`run_trajectory` runs it over the whole output
+grid, filling the map and the observables block by block, and
+:func:`chain_reference_state` over the one-point grid {t}.  The
+observables P(n), P_e, P_r and <n> have one implementation,
+:func:`observables`, for the amplitudes of one state, shape (n,), or of a
+block of times, shape (n, nt).
 
-Only the live eigencomponents, those with a nonzero coefficient
-c_k = (V^T psi(0))_k, get a phase factor; the other rows of the phase
-matrix stay exactly zero.  The product is taken only over the sites
-n < reach, where reach is one past the last site with a nonzero V[n, k]
-for some live k.  Past reach every term V[n, k] exp(-i lambda_k t) c_k has
-a factor that is exactly 0.0, so those amplitudes are exactly 0.0 and are
-filled in, not computed: the result is the same bits as the full product.
-This saves work because the eigenvectors a low-lying state is made of
-decay fast up the chain, and the eigensolver returns their far entries as
-exact zeros once they underflow (at n_trunc = 1024, g/omega = 0.65, from
-site 256 on).  The eigenbasis (inner) dimension of the product is kept
-whole: dropping its dead columns changes the summation order and so the
-last bits.
+Blocks (``_grid_blocks``) hold BLOCK_POINTS = 1024 grid points and
+start at its multiples; a last block shorter than MIN_TAIL_POINTS = 64
+joins the block before it.  A run so holds the complex amplitudes of one
+block at a time, and its memory grows with the grid only by the map
+P(n, t) and the per-point observables.  The layout keeps the bits of
+evolving the whole grid at once.  P(n) and P_e are per column, and the
+gemm V @ rhs computes every column alike whatever the block width, as
+long as the block has two or more points: numpy multiplies a one-column
+rhs with gemv instead, which changed cells of every array.  P_r and <n>
+come from gemv products, (points, m) matrices times a vector, and a gemv
+kernel sums a row in an order set by its place in the kernel's unrolled
+row groups and by the size of the call.  A block that starts at a
+multiple of 1024, a multiple of any power-of-two unrolling, puts every
+row in the same place of its group as the whole-grid call did, and
+merging a short tail keeps the last rows out of a tiny call: a 2-point
+last block changed cells of <n>.  At one BLAS thread every array so
+equals the whole-grid result.  With more threads, gemv also splits its
+rows between the threads by the length of the call, so P_r and <n> can
+differ in the last bit between thread counts, as they did before blocks
+(2 cells of <n> at n_trunc 1024 over 6,001 points); P(n) and P_e do not.
 
 A dense diagonalization of the untransformed two-branch Hamiltonian serves
 as an independent cross-check and is used only in tests and the validation
@@ -70,6 +80,8 @@ from .model import (
 DECOMPOSITION_TOL = 1e-10     # residual / orthogonality bound on the eigensolve
 TRUNCATION_OCCUPANCY = 1e-8   # top-two-site occupancy that flags a trajectory
 FULL_RABI_MAX_TRUNC = 256     # the dense oracle is O((2 n_trunc)^3)
+BLOCK_POINTS = 1024           # grid points evolved at a time; blocks start at its multiples
+MIN_TAIL_POINTS = 64          # a shorter last block merges into the block before it
 
 
 def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +153,13 @@ def build_chain(params: RabiParams, chain: ParityChain) -> ChainHamiltonian:
 
     h = ChainHamiltonian(chain, diag, offdiag, evals, evecs)
     scale = max(np.abs(diag).max(), np.abs(offdiag).max(), 1.0)
-    residual = np.abs(h.apply(evecs) - evecs * evals).max()
-    ortho = np.abs(evecs.T @ evecs - np.eye(n)).max()
+    # in place: one n x n temporary at a time next to the eigenvectors
+    residual = h.apply(evecs)
+    residual -= evecs * evals
+    residual = np.abs(residual, out=residual).max()
+    gram = evecs.T @ evecs
+    gram.flat[::n + 1] -= 1.0
+    ortho = np.abs(gram, out=gram).max()
     if not (residual <= DECOMPOSITION_TOL * scale and ortho <= DECOMPOSITION_TOL):
         raise EigendecompositionError(
             f"eigendecomposition of {chain.name}-chain out of tolerance: "
@@ -155,36 +172,53 @@ def build_chain(params: RabiParams, chain: ParityChain) -> ChainHamiltonian:
     return h
 
 
-def _evolve_grid(h: ChainHamiltonian, coeffs: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Amplitudes V exp(-i Lambda t) coeffs on the sites a state reaches, shape (reach, len(t_grid)).
+def _grid_blocks(points: int) -> list[slice]:
+    """The blocks a grid of ``points`` points is evolved in, in order (module docstring)."""
+    starts = list(range(0, points, BLOCK_POINTS))
+    if len(starts) > 1 and points - starts[-1] < MIN_TAIL_POINTS:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [points])]
+
+
+def _chain_evolution(h: ChainHamiltonian, coeffs: np.ndarray):
+    """The function t -> V exp(-i Lambda t) coeffs on the sites a state reaches, shape (reach, len(t)).
 
     ``coeffs`` are the initial amplitudes in the eigenbasis, V^T psi(0).
-    Sites reach..n_trunc-1 are exactly zero at every time (module docstring).
+    The live components and the reach are found once, here; sites
+    reach..n_trunc-1 are exactly zero at every time (module docstring).
     """
     live = np.flatnonzero(coeffs)
     touched = np.flatnonzero(np.any(h.eigenvectors[:, live] != 0.0, axis=1))
     reach = int(touched[-1]) + 1 if touched.size else 0
-    rhs = np.zeros((h.n_trunc, t_grid.shape[0]), dtype=complex)
-    rhs[live] = np.exp(-1j * np.outer(h.eigenvalues[live], t_grid)) * coeffs[live, None]
-    return h.eigenvectors[:reach] @ rhs
+    v, evals, c = h.eigenvectors[:reach], h.eigenvalues[live], coeffs[live, None]
+
+    def evolve(t: np.ndarray) -> np.ndarray:
+        rhs = np.zeros((h.n_trunc, t.shape[0]), dtype=complex)
+        rhs[live] = np.exp(-1j * np.outer(evals, t)) * c
+        return v @ rhs
+
+    return evolve
 
 
 def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
-    """Amplitudes a_n, b_n at every time of ``t_grid`` on the sites either chain reaches.
+    """Yield (cols, amps) for each block ``cols`` of ``t_grid``, in order.
 
-    Returns one array, a_n then b_n, of shape (2, reach, len(t_grid)); every
-    site past reach is exactly empty (module docstring).
+    amps holds the amplitudes a_n, b_n at the times t_grid[cols] on the
+    sites either chain reaches, shape (2, reach, block length); every site
+    past reach is exactly empty (module docstring).  Each chain is built
+    and decomposed once, before the first block.
     """
     if initial.n_trunc != params.n_trunc:
         raise DimensionMismatchError(
             f"initial state has {initial.n_trunc} sites, params.n_trunc={params.n_trunc}"
         )
-    amps = {}
+    chains = {}
     for part in decompose(initial):
         if part.weight != 0.0:
             h = build_chain(params, part.chain)
-            amps[part.chain] = _evolve_grid(h, h.eigenvectors.T @ part.amp, t_grid)
-    return to_branches(amps)
+            chains[part.chain] = _chain_evolution(h, h.eigenvectors.T @ part.amp)
+    for cols in _grid_blocks(t_grid.shape[0]):
+        yield cols, to_branches({chain: evolve(t_grid[cols]) for chain, evolve in chains.items()})
 
 
 @dataclass
@@ -259,10 +293,16 @@ def run_trajectory(params: RabiParams, initial: FullState, t_max: float, dt: flo
     if t_max < dt:
         raise ValueError(f"t_max must be >= dt, got t_max={t_max}, dt={dt}")
     t_grid = np.arange(grid_points(t_max, dt)) * dt
-    pop, p_e, p_r, mean_n = observables(*_amplitudes(params, initial, t_grid), initial)
     n, nt = params.n_trunc, t_grid.shape[0]
-    pnt = np.zeros((n, nt)).T   # stored site-major like pop, so filling it is a plain copy
-    pnt[:, :pop.shape[0]] = pop.T
+    p_e, p_r, mean_n = np.empty(nt), np.empty(nt), np.empty(nt)
+    pnt = None
+    for cols, amps in _amplitudes(params, initial, t_grid):
+        pop, p_e[cols], p_r[cols], mean_n[cols] = observables(*amps, initial)
+        del amps   # before pnt exists: a one-block grid peaks no higher than one whole-grid product
+        if pnt is None:
+            pnt = np.zeros((n, nt)).T   # stored site-major like pop, so filling it is a plain copy
+        pnt[cols, :pop.shape[0]] = pop.T
+        del pop
 
     top = float(pnt[:, -2:].max())   # RabiParams keeps n_trunc >= 2
     return Trajectory(t_grid=t_grid, pnt=pnt, p_e=p_e, p_r=p_r, mean_n=mean_n,
@@ -273,7 +313,7 @@ def chain_reference_state(params: RabiParams, initial: FullState, t: float) -> F
     """The state at time t, from the production path on the one-point grid {t}."""
     if t < 0:
         raise ValueError(f"propagation distance must be >= 0, got {t}")
-    reached = _amplitudes(params, initial, np.array([t]))
+    [(_, reached)] = _amplitudes(params, initial, np.array([t]))   # one block
     state = FullState(*(np.pad(amp[:, 0], (0, params.n_trunc - amp.shape[0])) for amp in reached),
                       norm_tol=RECOMPOSE_WEIGHT_TOL)
     for before, after in zip(decompose(initial), decompose(state)):

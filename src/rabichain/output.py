@@ -19,7 +19,9 @@ the table's range, and overflows at e = -298), or not finite goes through
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -167,18 +169,37 @@ def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> Iterato
     return _table_text("omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n", table)
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """A temporary path in ``path``'s directory, renamed onto ``path`` when the block ends.
+
+    On any exception the temporary file is removed and ``path`` is left as
+    it was, so no file is ever cut off.  The temporary is created by a plain
+    ``open``, so the file gets the mode that gives.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_text(path: Path, text: str | Iterable[str]) -> None:
     """Write a string, or an iterable of blocks one after another, as ASCII.
 
     A formatter's iterator is consumed as the file is written, one block at a time.
 
     No newline translation: the file holds ``\\n`` line ends on every platform.
+    The file appears at ``path`` whole, or not at all (``_replacing``).
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="ascii", newline="") as f:
+    with _replacing(path) as tmp, tmp.open("w", encoding="ascii", newline="") as f:
         f.writelines([text] if isinstance(text, str) else text)
 
 
 def write_bytes(path: Path, blob: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(blob)
+    """Write ``blob``; the file appears at ``path`` whole, or not at all (``_replacing``)."""
+    with _replacing(path) as tmp:
+        tmp.write_bytes(blob)

@@ -10,6 +10,11 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:   # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +74,29 @@ def test_simulate_writes_timeseries_and_map(config_path, tmp_path):
     assert abs(t_peak - 27.3) < 0.3
     # P_e + P_g = 1
     assert np.abs(ts[:, 1] + ts[:, 2] - 1.0).max() < 1e-10
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_a_write_past_the_file_size_limit_leaves_the_earlier_file(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    earlier = (out / "intensity_map.tsv").read_bytes()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (out / "intensity_map.tsv").stat().st_mode & 0o777 == 0o666 & ~umask   # a plain open's
+    limit = len(earlier) // 2   # timeseries.tsv fits, the map does not
+    assert (out / "timeseries.tsv").stat().st_size < limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "rabichain.cli", "simulate", "--config", str(config_path),
+         "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "File too large" in proc.stderr
+    assert (out / "intensity_map.tsv").read_bytes() == earlier
+    assert sorted(p.name for p in out.iterdir()) == ["intensity_map.tsv", "timeseries.tsv"]
 
 
 def test_simulate_is_deterministic(config_path, tmp_path):
@@ -174,14 +202,13 @@ def test_commands_cap_blas_threads_and_restore_them(config_path, tmp_path, monke
 
     monkeypatch.setattr(cli, "run_validation", validation)
     monkeypatch.setattr(cli, "_sweep_point", point)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     assert main(["validate"]) == 0
     assert blas_threads() == before
     assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"),
                  "--omega0-list=-0.04,0,0.04", "--jobs", "2"]) == 0
     assert blas_threads() == before
     assert seen["validate"] == {lib: 1 for lib in before}
-    assert seen["sweep"] == {lib: min(n, 4 // 2) for lib, n in before.items()}
+    assert seen["sweep"] == {lib: 1 for lib in before}
 
 
 def test_sweep_output_does_not_depend_on_the_blas_cap(config_path, tmp_path, monkeypatch):
@@ -265,8 +292,7 @@ def test_sweep_caps_every_openblas_in_a_fresh_interpreter(config_path, tmp_path)
                     "sweep", "--config", config_path, "--out", tmp_path / "out",
                     "--omega0-list=-0.04,0,0.04", "--jobs", "2")
     assert run["rc"] == 0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert run["seen"]["sweep"] == {lib: min(n, max(1, cpus // 2)) for lib, n in run["after"].items()}
+    assert run["seen"]["sweep"] == {lib: 1 for lib in run["after"]}
 
 
 def test_design_writes_recipe_and_report(config_path, tmp_path):

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from rabichain import dynamics
+from rabichain import cli, dynamics
 from rabichain.dynamics import (
     DimensionMismatchError,
     EigendecompositionError,
-    _evolve_grid,
+    _chain_evolution,
     build_chain,
     chain_reference_state,
     full_rabi_amplitudes,
@@ -296,7 +296,7 @@ def largest_reach(params, initial):
     for part in decompose(initial):
         if part.weight != 0.0:
             h = build_chain(params, part.chain)
-            reaches.append(_evolve_grid(h, h.eigenvectors.T @ part.amp, np.zeros(1)).shape[0])
+            reaches.append(_chain_evolution(h, h.eigenvectors.T @ part.amp)(np.zeros(1)).shape[0])
     return max(reaches)
 
 
@@ -323,12 +323,20 @@ def largest_reach(params, initial):
 def test_restricted_propagation_is_bit_identical_to_the_full_product(params, initial, restricted):
     n = params.n_trunc
     assert (largest_reach(params, initial) < n) == restricted
-    traj = run_trajectory(params, initial, 6.0, 0.1)
-    _, _, pnt, p_e, p_r, mean_n = unrestricted_observables(params, initial, traj.t_grid)
-    assert np.array_equal(traj.pnt, pnt)
-    assert np.array_equal(traj.p_e, p_e)
-    assert np.array_equal(traj.p_r, p_r)
-    assert np.array_equal(traj.mean_n, mean_n)
+    # 61 points are one block.  1025, 1026 and 1087 points leave a last 1024-point block of 1,
+    # 2 and 63 points, which joins the first; 1088 leave one of 64, which stands; 2049 are two
+    # blocks, the second with the 1-point tail.  At one BLAS thread: with more, gemv splits its
+    # rows by the length of the call, so P_r and <n> of a block can differ in the last bit from
+    # the whole-grid product (dynamics docstring).
+    with cli._blas_threads(1):
+        for points in (61, 1025, 1026, 1087, 1088, 2049):
+            traj = run_trajectory(params, initial, (points - 1) * 0.1, 0.1)
+            assert traj.t_grid.shape[0] == points
+            _, _, pnt, p_e, p_r, mean_n = unrestricted_observables(params, initial, traj.t_grid)
+            assert np.array_equal(traj.pnt, pnt)
+            assert np.array_equal(traj.p_e, p_e)
+            assert np.array_equal(traj.p_r, p_r)
+            assert np.array_equal(traj.mean_n, mean_n)
     for k in (0, 17, -1):
         amp_e, amp_g, *_ = unrestricted_observables(params, initial, traj.t_grid[k:k + 1 or None])
         state = chain_reference_state(params, initial, float(traj.t_grid[k]))
@@ -390,6 +398,31 @@ def test_trajectory_keeps_no_eigenbasis():
     finally:
         tracemalloc.stop()
     assert retained < traj.pnt.nbytes + n**2 * 4
+
+
+def test_blocks_start_at_multiples_of_1024_and_a_short_tail_joins_the_block_before():
+    assert dynamics._grid_blocks(1) == [slice(0, 1)]
+    assert dynamics._grid_blocks(1087) == [slice(0, 1087)]
+    assert dynamics._grid_blocks(1088) == [slice(0, 1024), slice(1024, 1088)]
+    assert dynamics._grid_blocks(3073) == [slice(0, 1024), slice(1024, 2048), slice(2048, 3073)]
+
+
+def test_working_set_does_not_grow_with_the_grid():
+    # g/omega 3: every site is reached, so every block evolves all 128 sites
+    n = 128
+    params, e0 = RabiParams(omega0=0.1, omega=0.23, g=0.7, n_trunc=n), FullState.basis_state("e", 0, n)
+    beyond_map = {}
+    for t_max in (200.0, 2000.0):   # 2,001 and 20,001 points
+        tracemalloc.start()
+        try:
+            traj = run_trajectory(params, e0, t_max, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond_map[traj.t_grid.shape[0]] = peak - 8 * n * traj.t_grid.shape[0]
+        del traj
+    # the grid and the observables are 40 bytes a point; a whole-grid product would be kilobytes
+    assert beyond_map[20001] - beyond_map[2001] <= 96 * (20001 - 2001)
 
 
 def test_truncation_sentinel_flags_small_arrays():
