@@ -9,16 +9,25 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, check_memory, load_config
-from .dynamics import EigendecompositionError, grid_points, run_trajectory
+from .dynamics import (
+    TRUNCATION_OCCUPANCY,
+    EigendecompositionError,
+    grid_points,
+    run_trajectory,
+    time_grid,
+    top_occupancy,
+    trajectory_blocks,
+)
 from .lattice import (
     RECIPE_DEVIATION_TOL,
     CouplingRangeError,
@@ -29,10 +38,13 @@ from .lattice import (
 )
 from .model import FullState, RabiParams
 from .output import (
+    TIMESERIES_HEADER,
+    intensity_map_header,
     intensity_map_pgm,
-    intensity_map_text,
+    intensity_map_rows,
     sweep_summary_text,
-    timeseries_text,
+    text_file,
+    timeseries_rows,
     write_bytes,
     write_text,
 )
@@ -96,12 +108,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _check_grid(params: RabiParams, t_max: float, dt: float, grid: str, runs: int = 1) -> None:
+def _check_grid(params: RabiParams, t_max: float, dt: float, grid: str, runs: int = 1,
+                keep_map: bool = True) -> None:
     """Raise ConfigError, before anything is allocated, for a grid the run cannot hold.
 
     That is a step longer than the grid, phases lambda t that overflow
     (|lambda| is at most the chain's Gershgorin bound), or ``runs`` runs at
-    once past physical memory; ``grid`` names the keys that set the grid.
+    once past physical memory (``config.check_memory``); ``grid`` names the
+    keys that set the grid.
     """
     if t_max < dt:
         raise ConfigError(f"{grid}: the step is longer than the grid, dt must be <= {t_max!r}")
@@ -115,7 +129,14 @@ def _check_grid(params: RabiParams, t_max: float, dt: float, grid: str, runs: in
     points = grid_points(t_max, dt)
     at_once = f" for {runs} sweep points at once" if runs > 1 else ""
     check_memory(f"{grid}: {points:.3g} grid points x n_trunc = {params.n_trunc}{at_once}",
-                 n_trunc=params.n_trunc, points=points, runs=runs)
+                 n_trunc=params.n_trunc, points=points, runs=runs, keep_map=keep_map)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
@@ -124,20 +145,49 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     if not cfg.outputs and not image:
         raise ConfigError("output.outputs is empty and --image is not set: nothing to write")
     dt = cfg.dt if cfg.dt is not None else SIMULATE_DEFAULT_DT
-    _check_grid(cfg.params, cfg.t_max, dt, f"grid.t_max = {cfg.t_max!r}, grid.dt = {dt!r}")
-    traj = run_trajectory(cfg.params, cfg.initial, cfg.t_max, dt)
-    if traj.truncation_flagged:
-        print(
-            f"note: truncation-contaminated run, top-site occupancy "
-            f"{traj.top_site_occupancy:.3e}",
-            file=sys.stderr,
-        )
-    if "timeseries" in cfg.outputs:
-        write_text(out_dir / "timeseries.tsv", timeseries_text(traj))
-    if "intensity_map" in cfg.outputs:
-        write_text(out_dir / "intensity_map.tsv", intensity_map_text(traj))
-    if image:
-        write_bytes(out_dir / "intensity_map.pgm", intensity_map_pgm(traj))
+    _check_grid(cfg.params, cfg.t_max, dt, f"grid.t_max = {cfg.t_max!r}, grid.dt = {dt!r}",
+                keep_map=image)
+    n, t_grid = cfg.params.n_trunc, time_grid(cfg.t_max, dt)
+    top, reached = 0.0, None   # the map's reached sites, kept for the raster only
+
+    # Two stages: this thread evolves block k+1 while one writer thread formats and writes
+    # block k.  Every file is renamed into place only when the last block is written.
+    with ExitStack() as stack:
+        if "intensity_map" in cfg.outputs:   # formatting the map keeps a CPU busy: BLAS gets the rest
+            stack.enter_context(_blas_threads(max(1, _usable_cpus() - 1)))
+        blocks = trajectory_blocks(cfg.params, cfg.initial, t_grid)   # a failed eigensolve writes nothing
+        timeseries = tsv_map = None
+        if "timeseries" in cfg.outputs:
+            timeseries = stack.enter_context(text_file(out_dir / "timeseries.tsv"))
+            timeseries.write(TIMESERIES_HEADER)
+        if "intensity_map" in cfg.outputs:
+            tsv_map = stack.enter_context(text_file(out_dir / "intensity_map.tsv"))
+            tsv_map.write(intensity_map_header(n))
+
+        def write(cols, pop, p_e, p_r, mean_n):
+            if timeseries is not None:
+                timeseries.writelines(timeseries_rows(t_grid[cols], p_e, p_r, mean_n))
+            if tsv_map is not None:
+                tsv_map.writelines(intensity_map_rows(n, t_grid[cols], pop))
+
+        writer = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+        written = None
+        for block in blocks:
+            cols, pop = block[:2]
+            top = max(top, top_occupancy(pop, n))
+            if image:
+                if reached is None:
+                    reached = np.zeros((pop.shape[0], t_grid.shape[0]))
+                reached[:, cols] = pop
+            if written is not None:
+                written.result()   # one block in flight; a failed write raises here
+            written = writer.submit(write, *block)
+            del block, pop   # the writer holds the block now, and frees it when it is written
+        written.result()
+        if image:
+            write_bytes(out_dir / "intensity_map.pgm", intensity_map_pgm(reached, n))
+    if top > TRUNCATION_OCCUPANCY:
+        print(f"note: truncation-contaminated run, top-site occupancy {top:.3e}", file=sys.stderr)
     return EXIT_OK
 
 

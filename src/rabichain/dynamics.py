@@ -15,37 +15,42 @@ grid.
 
 There is one propagation path, ``_amplitudes``.  It decomposes the
 initial state, builds each non-empty chain once with its eigenbasis
-coefficients, live components and reach (``_chain_evolution``), then
-evolves the chains over the time grid one block at a time and writes the
-chain sites back onto the qubit branches, a_n and b_n, with
+coefficients, live components and reach (``_chain_evolution``, which
+keeps only the rows of the eigenbasis the state reaches), then evolves
+the chains over the time grid one block at a time and writes the chain
+sites back onto the qubit branches, a_n and b_n, with
 ``model.to_branches``, the inverse that the decompose/recompose
-round-trip checks.  :func:`run_trajectory` runs it over the whole output
-grid, filling the map and the observables block by block, and
-:func:`chain_reference_state` over the one-point grid {t}.  The
-observables P(n), P_e, P_r and <n> have one implementation,
+round-trip checks.  :func:`trajectory_blocks` yields the observables of
+each block.  :func:`run_trajectory` collects them over the whole output
+grid into a :class:`Trajectory`, which ``sweep`` and ``validate`` read;
+``simulate`` hands each block to its writer thread instead.
+:func:`chain_reference_state` runs the path over the one-point grid {t}.
+The observables P(n), P_e, P_r and <n> have one implementation,
 :func:`observables`, for the amplitudes of one state, shape (n,), or of a
 block of times, shape (n, nt).
 
 Blocks (``_grid_blocks``) hold BLOCK_POINTS = 1024 grid points and
 start at its multiples; a last block shorter than MIN_TAIL_POINTS = 64
 joins the block before it.  A run so holds the complex amplitudes of one
-block at a time, and its memory grows with the grid only by the map
-P(n, t) and the per-point observables.  The layout keeps the bits of
-evolving the whole grid at once.  P(n) and P_e are per column, and the
-gemm V @ rhs computes every column alike whatever the block width, as
-long as the block has two or more points: numpy multiplies a one-column
-rhs with gemv instead, which changed cells of every array.  P_r and <n>
-come from gemv products, (points, m) matrices times a vector, and a gemv
-kernel sums a row in an order set by its place in the kernel's unrolled
-row groups and by the size of the call.  A block that starts at a
-multiple of 1024, a multiple of any power-of-two unrolling, puts every
-row in the same place of its group as the whole-grid call did, and
-merging a short tail keeps the last rows out of a tiny call: a 2-point
-last block changed cells of <n>.  At one BLAS thread every array so
-equals the whole-grid result.  With more threads, gemv also splits its
-rows between the threads by the length of the call, so P_r and <n> can
-differ in the last bit between thread counts, as they did before blocks
-(2 cells of <n> at n_trunc 1024 over 6,001 points); P(n) and P_e do not.
+block at a time.  Its memory grows with the grid only by what the caller
+keeps: run_trajectory keeps the map P(n, t) and the per-point
+observables, and simulate keeps the map only for its raster.  The
+layout keeps the bits of evolving the whole grid at once.  P(n) and P_e
+are per column, and the gemm V @ rhs computes every column alike
+whatever the block width, as long as the block has two or more points:
+numpy multiplies a one-column rhs with gemv instead, which changed cells
+of every array.  P_r and <n> come from gemv products, (points, m)
+matrices times a vector, and a gemv kernel sums a row in an order set by
+its place in the kernel's unrolled row groups and by the size of the
+call.  A block that starts at a multiple of 1024, a multiple of any
+power-of-two unrolling, puts every row in the same place of its group as
+the whole-grid call did, and merging a short tail keeps the last rows out
+of a tiny call: a 2-point last block changed cells of <n>.  At one BLAS
+thread every array so equals the whole-grid result.  With more threads,
+gemv also splits its rows between the threads by the length of the call,
+so P_r and <n> can differ in the last bit between thread counts, as they
+did before blocks (2 cells of <n> at n_trunc 1024 over 6,001 points);
+P(n) and P_e do not.
 
 A dense diagonalization of the untransformed two-branch Hamiltonian serves
 as an independent cross-check and is used only in tests and the validation
@@ -186,14 +191,21 @@ def _chain_evolution(h: ChainHamiltonian, coeffs: np.ndarray):
     ``coeffs`` are the initial amplitudes in the eigenbasis, V^T psi(0).
     The live components and the reach are found once, here; sites
     reach..n_trunc-1 are exactly zero at every time (module docstring).
+    The function keeps no reference to ``h``, only a copy of the rows of V
+    the state reaches, so the n_trunc^2 eigenbasis is freed before the
+    first block.  The rows stay float: a complex copy kept for the whole
+    run would hold twice the bytes, and the product's own cast is
+    transient.
     """
+    n = h.n_trunc
     live = np.flatnonzero(coeffs)
     touched = np.flatnonzero(np.any(h.eigenvectors[:, live] != 0.0, axis=1))
     reach = int(touched[-1]) + 1 if touched.size else 0
-    v, evals, c = h.eigenvectors[:reach], h.eigenvalues[live], coeffs[live, None]
+    v = h.eigenvectors[:reach].copy()
+    evals, c = h.eigenvalues[live], coeffs[live, None]
 
     def evolve(t: np.ndarray) -> np.ndarray:
-        rhs = np.zeros((h.n_trunc, t.shape[0]), dtype=complex)
+        rhs = np.zeros((n, t.shape[0]), dtype=complex)
         rhs[live] = np.exp(-1j * np.outer(evals, t)) * c
         return v @ rhs
 
@@ -201,12 +213,14 @@ def _chain_evolution(h: ChainHamiltonian, coeffs: np.ndarray):
 
 
 def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
-    """Yield (cols, amps) for each block ``cols`` of ``t_grid``, in order.
+    """An iterator of (cols, amps) for each block ``cols`` of ``t_grid``, in order.
 
     amps holds the amplitudes a_n, b_n at the times t_grid[cols] on the
     sites either chain reaches, shape (2, reach, block length); every site
     past reach is exactly empty (module docstring).  Each chain is built
-    and decomposed once, before the first block.
+    and decomposed once, by this call, so a failed eigensolve raises here
+    and not at the first block; each eigenbasis is freed before the next
+    chain is built.
     """
     if initial.n_trunc != params.n_trunc:
         raise DimensionMismatchError(
@@ -217,8 +231,28 @@ def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
         if part.weight != 0.0:
             h = build_chain(params, part.chain)
             chains[part.chain] = _chain_evolution(h, h.eigenvectors.T @ part.amp)
-    for cols in _grid_blocks(t_grid.shape[0]):
-        yield cols, to_branches({chain: evolve(t_grid[cols]) for chain, evolve in chains.items()})
+            del h
+    return ((cols, to_branches({chain: evolve(t_grid[cols]) for chain, evolve in chains.items()}))
+            for cols in _grid_blocks(t_grid.shape[0]))
+
+
+def trajectory_blocks(params: RabiParams, initial: FullState, t_grid: np.ndarray):
+    """An iterator of (cols, pop, p_e, p_r, mean_n) for each block ``cols`` of ``t_grid``, in order.
+
+    The observables of :func:`observables` at the times t_grid[cols]:
+    pop is P(n, t) on the sites either chain reaches, site-major, shape
+    (reach, block length); every site past reach is exactly empty.  The
+    chains are built by this call, as in ``_amplitudes``.
+    """
+    return _observed(_amplitudes(params, initial, t_grid), initial)
+
+
+def _observed(blocks, initial: FullState):
+    for cols, amps in blocks:
+        pop, p_e, p_r, mean_n = observables(*amps, initial)
+        del amps
+        yield cols, pop, p_e, p_r, mean_n
+        del pop   # on resuming, before the next block is evolved
 
 
 @dataclass
@@ -281,30 +315,39 @@ def observables(amp_e: np.ndarray, amp_g: np.ndarray, initial: FullState):
     return pop, p_e, p_r, mean_n
 
 
+def time_grid(t_max: float, dt: float) -> np.ndarray:
+    """The grid {0, dt, 2 dt, ..., t_max}."""
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if t_max < dt:
+        raise ValueError(f"t_max must be >= dt, got t_max={t_max}, dt={dt}")
+    return np.arange(grid_points(t_max, dt)) * dt
+
+
+def top_occupancy(pop: np.ndarray, n_trunc: int) -> float:
+    """The largest occupancy of the two topmost sites in a block ``pop`` of :func:`trajectory_blocks`."""
+    return float(pop[n_trunc - 2:].max(initial=0.0))   # RabiParams keeps n_trunc >= 2
+
+
 def run_trajectory(params: RabiParams, initial: FullState, t_max: float, dt: float) -> Trajectory:
     """Propagate on the grid {0, dt, 2 dt, ..., t_max} and record observables.
 
     Each non-empty parity chain is evolved independently with its cached
     spectral decomposition; observables are always computed on the
-    recomposed full state.
+    recomposed full state.  The blocks of :func:`trajectory_blocks` fill
+    the map and the per-point arrays.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_max < dt:
-        raise ValueError(f"t_max must be >= dt, got t_max={t_max}, dt={dt}")
-    t_grid = np.arange(grid_points(t_max, dt)) * dt
+    t_grid = time_grid(t_max, dt)
     n, nt = params.n_trunc, t_grid.shape[0]
     p_e, p_r, mean_n = np.empty(nt), np.empty(nt), np.empty(nt)
-    pnt = None
-    for cols, amps in _amplitudes(params, initial, t_grid):
-        pop, p_e[cols], p_r[cols], mean_n[cols] = observables(*amps, initial)
-        del amps   # before pnt exists: a one-block grid peaks no higher than one whole-grid product
-        if pnt is None:
+    pnt, top = None, 0.0
+    for cols, pop, *per_point in trajectory_blocks(params, initial, t_grid):
+        p_e[cols], p_r[cols], mean_n[cols] = per_point
+        if pnt is None:   # after the first block's amplitudes are freed
             pnt = np.zeros((n, nt)).T   # stored site-major like pop, so filling it is a plain copy
         pnt[cols, :pop.shape[0]] = pop.T
+        top = max(top, top_occupancy(pop, n))
         del pop
-
-    top = float(pnt[:, -2:].max())   # RabiParams keeps n_trunc >= 2
     return Trajectory(t_grid=t_grid, pnt=pnt, p_e=p_e, p_r=p_r, mean_n=mean_n,
                       top_site_occupancy=top)
 

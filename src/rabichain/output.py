@@ -5,6 +5,14 @@ bytes ``"%.11e" % x`` gives for every float64, written as ASCII with
 ``\\n`` line ends, so golden-file comparisons are stable across platforms
 and runs.
 
+The tables are written a row block at a time: ``_rows_text`` lays out
+the rows of one block, and the header and the row blocks of a table
+(``timeseries_rows``, ``intensity_map_rows``) can be written as they
+come, as ``simulate`` does from its writer thread, or all at once, as
+``timeseries_text`` and ``intensity_map_text`` do for a whole
+:class:`~rabichain.dynamics.Trajectory`.  Either way the bytes are the
+same.
+
 ``format_rows`` is the one float-to-text conversion.  It encodes a whole
 array at once: the decimal exponent e from ``floor(log10|x|)``, one
 multiply by a correctly rounded 10^(11-e) to a mantissa m, ``rint`` to the
@@ -23,7 +31,7 @@ import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
@@ -105,60 +113,89 @@ def format_rows(table: np.ndarray, blank: np.ndarray | None = None) -> str:
     return str(text[keep].data, "ascii")
 
 
-def _table_text(header: str, *columns: np.ndarray) -> Iterator[str]:
-    """The header line, then one tab-separated line per row, yielded as text blocks.
+def _rows_text(width: int, *columns: np.ndarray) -> Iterator[str]:
+    """One tab-separated line per row of a row block, yielded as text blocks.
 
     ``columns`` are 1-D or 2-D float arrays with one entry (or row) per
-    table row; they are put side by side a block of rows at a time, and
-    every value is written by ``format_rows``.  The trailing columns of a
-    block that hold +0.0 (by bit pattern, so -0.0 is still encoded) in
-    every row are appended to each line as literal text.  A block is
-    formatted only when the one before it has been consumed, so a writer
-    never holds more than one block's text.
+    table row, put side by side to give the first columns of a ``width``
+    column table; the columns past them hold +0.0.  A text block holds
+    _BLOCK_VALUES // width rows, and every value is written by
+    ``format_rows``, except the trailing columns of a text block that hold
+    +0.0 (by bit pattern, so -0.0 is still encoded) in every row: they are
+    appended to each line as literal text.  A text block is formatted only
+    when the one before it has been consumed, so a writer never holds more
+    than one block's text.
     """
     rows = columns[0].shape[0]
-    cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    block = max(1, _BLOCK_VALUES // cols)
-    yield header + "\n"
-    for start in range(0, rows, block):
-        chunk = np.column_stack([c[start:start + block] for c in columns])
+    step = max(1, _BLOCK_VALUES // width)
+    for start in range(0, rows, step):
+        chunk = np.column_stack([c[start:start + step] for c in columns])
         live = np.flatnonzero(chunk.view(np.uint64).any(axis=0))
-        width = int(live[-1]) + 1 if live.size else 0
-        text = format_rows(chunk[:, :width])
-        if width < cols:
-            text = text.replace("\n", "\t" * (width > 0) + "\t".join([_ZERO] * (cols - width)) + "\n")
+        live_width = int(live[-1]) + 1 if live.size else 0
+        text = format_rows(chunk[:, :live_width])
+        if live_width < width:
+            text = text.replace("\n", "\t" * (live_width > 0)
+                                + "\t".join([_ZERO] * (width - live_width)) + "\n")
         yield text
 
 
+def _table_text(header: str, *columns: np.ndarray) -> Iterator[str]:
+    """The header line, then the rows of ``columns`` (``_rows_text``), yielded as text blocks."""
+    yield header + "\n"
+    yield from _rows_text(sum(1 if c.ndim == 1 else c.shape[1] for c in columns), *columns)
+
+
+TIMESERIES_HEADER = "t_mm\tP_e\tP_g\tP_r\tmean_n\n"
+
+
+def intensity_map_header(n_trunc: int) -> str:
+    return "t_mm\t" + "\t".join(f"P{j}" for j in range(n_trunc)) + "\n"
+
+
+def timeseries_rows(t: np.ndarray, p_e: np.ndarray, p_r: np.ndarray,
+                    mean_n: np.ndarray) -> Iterator[str]:
+    """The timeseries lines of a row block of grid times ``t``, as text blocks."""
+    return _rows_text(5, t, p_e, 1.0 - p_e, p_r, mean_n)
+
+
+def intensity_map_rows(n_trunc: int, t: np.ndarray, pop: np.ndarray) -> Iterator[str]:
+    """The map lines of a row block of grid times ``t``, as text blocks.
+
+    ``pop`` is P(n, t) site-major, shape (sites, len(t)), for the first
+    sites of the ``n_trunc``; the sites past it are empty.  Text blocks are
+    sized by the full row of n_trunc + 1 columns.
+    """
+    return _rows_text(n_trunc + 1, t, pop.T)
+
+
 def timeseries_text(traj: Trajectory) -> Iterator[str]:
-    return _table_text(
-        "t_mm\tP_e\tP_g\tP_r\tmean_n",
-        traj.t_grid, traj.p_e, traj.p_g, traj.p_r, traj.mean_n,
-    )
+    yield TIMESERIES_HEADER
+    yield from timeseries_rows(traj.t_grid, traj.p_e, traj.p_r, traj.mean_n)
 
 
 def intensity_map_text(traj: Trajectory) -> Iterator[str]:
     """Rows are grid times (top to bottom), columns are sites (left to right)."""
     n = traj.pnt.shape[1]
-    header = "t_mm\t" + "\t".join(f"P{j}" for j in range(n))
-    return _table_text(header, traj.t_grid, traj.pnt)
+    yield intensity_map_header(n)
+    yield from intensity_map_rows(n, traj.t_grid, traj.pnt.T)
 
 
-def intensity_map_pgm(traj: Trajectory) -> bytes:
-    """8-bit grayscale raster, max-normalized, binary PGM (P5).
+def intensity_map_pgm(pop: np.ndarray, n_trunc: int) -> bytes:
+    """8-bit grayscale raster of P(n, t), max-normalized, binary PGM (P5).
 
-    Rotated a quarter turn relative to the text table so that propagation
-    distance runs horizontally: width = grid points, height = sites,
-    site 0 on the top row.  Only the sites the state reaches are scaled:
-    every site past them is exactly 0.0 and so byte 0.
+    ``pop`` is the map site-major, shape (sites, grid points), for the
+    first sites of the ``n_trunc``; the sites past it are empty.  Rotated a
+    quarter turn relative to the text table so that propagation distance
+    runs horizontally: width = grid points, height = n_trunc sites, site 0
+    on the top row.  Only the sites the state reaches are scaled: every
+    site past them is exactly 0.0 and so byte 0.
     """
-    img = traj.pnt.T  # (sites, times)
-    touched = np.flatnonzero(img.any(axis=1))
+    touched = np.flatnonzero(pop.any(axis=1))
     reach = int(touched[-1]) + 1 if touched.size else 0
-    live = img[:reach] * (255.0 / img[:reach].max() if reach else 0.0)   # peak > 0 when reach > 0
+    live = pop[:reach] * (255.0 / pop[:reach].max() if reach else 0.0)   # peak > 0 when reach > 0
     np.rint(live, out=live)
     np.clip(live, 0, 255, out=live)
-    data = np.zeros(img.shape, dtype=np.uint8)
+    data = np.zeros((n_trunc, pop.shape[1]), dtype=np.uint8)
     data[:reach] = live
     header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
     return header + data.tobytes()
@@ -187,15 +224,22 @@ def _replacing(path: Path) -> Iterator[Path]:
         raise
 
 
-def write_text(path: Path, text: str | Iterable[str]) -> None:
-    """Write a string, or an iterable of blocks one after another, as ASCII.
-
-    A formatter's iterator is consumed as the file is written, one block at a time.
+@contextmanager
+def text_file(path: Path) -> Iterator[TextIO]:
+    """``path`` open for ASCII text; it appears whole when the block ends, or not at all (``_replacing``).
 
     No newline translation: the file holds ``\\n`` line ends on every platform.
-    The file appears at ``path`` whole, or not at all (``_replacing``).
     """
     with _replacing(path) as tmp, tmp.open("w", encoding="ascii", newline="") as f:
+        yield f
+
+
+def write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write a string, or an iterable of blocks one after another, through ``text_file``.
+
+    A formatter's iterator is consumed as the file is written, one block at a time.
+    """
+    with text_file(path) as f:
         f.writelines([text] if isinstance(text, str) else text)
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabichain import analytic, cli, config, dynamics
+from rabichain import analytic, cli, config, dynamics, output
 from rabichain.cli import main
 from rabichain.dynamics import grid_points
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
@@ -97,6 +97,83 @@ def test_a_write_past_the_file_size_limit_leaves_the_earlier_file(config_path, t
     assert "File too large" in proc.stderr
     assert (out / "intensity_map.tsv").read_bytes() == earlier
     assert sorted(p.name for p in out.iterdir()) == ["intensity_map.tsv", "timeseries.tsv"]
+
+
+# omega0 = 0.08 and a state on both chains; at n_trunc 320 the chains reach 160 sites, so
+# the map has dead columns
+STREAM_CONFIG = (DSC_CONFIG.replace("omega0 = 0", "omega0 = 0.08").replace("n_trunc = 64", "n_trunc = 320")
+                 .replace("initial = e0", "initial_e = 0.6\ninitial_g = 0.8"))
+
+
+@pytest.mark.parametrize("points", [1024, 1025, 1087, 1088, 2049])
+def test_streamed_files_are_the_text_of_the_whole_trajectory(tmp_path, points):
+    # one block; a block with a joined 1- or 63-point tail; two blocks; two blocks with a joined tail
+    text = STREAM_CONFIG.replace("t_max = 60", f"t_max = {(points - 1) * 0.1!r}")
+    (tmp_path / "run.cfg").write_text(text)
+    run = config.load_config(tmp_path / "run.cfg")
+    n = run.params.n_trunc
+    with cli._blas_threads(1):   # P_r and <n> can differ in the last bit between thread counts
+        traj = dynamics.run_trajectory(run.params, run.initial, run.t_max, run.dt)
+        assert traj.t_grid.shape[0] == points
+        assert traj.pnt[:, -1].max() == 0.0 < traj.pnt[:, 0].max()
+        whole = {"timeseries.tsv": "".join(output.timeseries_text(traj)).encode("ascii"),
+                 "intensity_map.tsv": "".join(output.intensity_map_text(traj)).encode("ascii"),
+                 "intensity_map.pgm": output.intensity_map_pgm(traj.pnt.T, n)}
+        for i, (outputs, image) in enumerate([("timeseries", False), ("intensity_map", False),
+                                              ("timeseries, intensity_map", True), ("", True)]):
+            cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"out{i}"
+            cfg.write_text(text + f"\n[output]\noutputs = {outputs}\n")
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]
+                        + ["--image"] * image) == 0
+            names = [f"{kind.strip()}.tsv" for kind in outputs.split(",") if kind.strip()]
+            names += ["intensity_map.pgm"] * image
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == {k: whole[k] for k in names}
+
+
+def test_truncation_note_is_the_top_site_occupancy_of_the_whole_map(tmp_path, capsys):
+    # n_trunc 15 is truncation-contaminated; 2,049 points are two blocks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG.replace("n_trunc = 64", "n_trunc = 15").replace("t_max = 60", "t_max = 204.8"))
+    run = config.load_config(cfg)
+    traj = dynamics.run_trajectory(run.params, run.initial, run.t_max, run.dt)
+    tops = [dynamics.top_occupancy(pop, 15)
+            for _, pop, *_ in dynamics.trajectory_blocks(run.params, run.initial, traj.t_grid)]
+    assert len(tops) == 2
+    assert max(tops) == traj.top_site_occupancy == float(traj.pnt[:, -2:].max())
+    assert traj.truncation_flagged
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        f"note: truncation-contaminated run, top-site occupancy {traj.top_site_occupancy:.3e}\n")
+
+
+# Runs the CLI, then prints how many threads are left, and exits with the CLI's code.
+CHILD_RUN = """
+import json, sys, threading
+from rabichain import cli
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "threads": threading.active_count()}))
+sys.exit(rc)
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_a_write_that_fails_in_the_middle_of_the_map_leaves_no_file_and_no_thread(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG.replace("t_max = 60", "t_max = 300"))   # 3,001 points: three blocks
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "whole")]) == 0
+    limit = (tmp_path / "whole" / "intensity_map.tsv").stat().st_size // 2
+    assert (tmp_path / "whole" / "timeseries.tsv").stat().st_size < limit
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD_RUN, "simulate", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "File too large" in proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"rc": 2, "threads": 1}
+    assert list(out.iterdir()) == []   # no temporary file, no cut-off file, no timeseries
 
 
 def test_simulate_is_deterministic(config_path, tmp_path):
@@ -274,6 +351,8 @@ def recorded(name, fn):
     return call
 cli.run_validation = recorded("validate", cli.run_validation)
 cli._sweep_point = recorded("sweep", cli._sweep_point)
+cli.timeseries_rows = recorded("simulate", cli.timeseries_rows)
+cli.intensity_map_rows = recorded("simulate", cli.intensity_map_rows)
 rc = cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, "seen": seen, "after": blas_threads()}))
 """
@@ -293,6 +372,21 @@ def test_sweep_caps_every_openblas_in_a_fresh_interpreter(config_path, tmp_path)
                     "--omega0-list=-0.04,0,0.04", "--jobs", "2")
     assert run["rc"] == 0
     assert run["seen"]["sweep"] == {lib: 1 for lib in run["after"]}
+
+
+@needs_openblas
+@pytest.mark.parametrize("outputs", ["timeseries, intensity_map", "timeseries"])
+def test_simulate_caps_every_openblas_while_it_writes_a_map(tmp_path, outputs):
+    # the writer thread formats the map on one CPU, BLAS gets the others; with no map BLAS
+    # keeps the default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG + f"\n[output]\noutputs = {outputs}\n")
+    run = run_fresh(inspect.getsource(blas_threads) + FRESH_BLAS,
+                    "simulate", "--config", cfg, "--out", tmp_path / "out")
+    assert run["rc"] == 0
+    cap = max(1, len(os.sched_getaffinity(0)) - 1) if "intensity_map" in outputs else None
+    assert run["seen"]["simulate"] == {lib: min(count, cap or count)
+                                       for lib, count in run["after"].items()}
 
 
 def test_design_writes_recipe_and_report(config_path, tmp_path):
@@ -394,7 +488,13 @@ def test_non_finite_config_value_exits_1_naming_the_key(tmp_path, capsys, line, 
 
 
 def _refuse_to_run(*args, **kwargs):
-    raise AssertionError("run_trajectory reached: the input was not checked first")
+    raise AssertionError("a run was started: the input was not checked first")
+
+
+def refuse_to_run(monkeypatch):
+    """Make the names the commands evolve through raise: run_trajectory and trajectory_blocks."""
+    for name in ("run_trajectory", "trajectory_blocks"):
+        monkeypatch.setattr(cli, name, _refuse_to_run)
 
 
 SWEEP_ARGS = ["--omega0-list=0.1,-0.1"]
@@ -411,7 +511,7 @@ SWEEP_ARGS = ["--omega0-list=0.1,-0.1"]
 def test_grid_too_large_for_memory_exits_1_before_allocating(
     tmp_path, capsys, monkeypatch, command, line, bad
 ):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(DSC_CONFIG.replace(line, bad))
     extra = SWEEP_ARGS if command == "sweep" else []
@@ -433,7 +533,7 @@ def test_grid_too_large_for_memory_exits_1_before_allocating(
 def test_grid_whose_phases_overflow_exits_1(
     tmp_path, capsys, monkeypatch, command, line, bad, extra, key
 ):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     cfg = tmp_path / "far.cfg"
     cfg.write_text(DSC_CONFIG.replace(line, bad))
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
@@ -445,7 +545,7 @@ def test_grid_whose_phases_overflow_exits_1(
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_jobs_below_1_exits_1(config_path, tmp_path, capsys, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     rc = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"),
                *SWEEP_ARGS, "--jobs", jobs])
     assert rc == 1
@@ -461,7 +561,7 @@ def test_sweep_jobs_below_1_exits_1(config_path, tmp_path, capsys, monkeypatch, 
     ],
 )
 def test_step_longer_than_grid_exits_1(tmp_path, capsys, monkeypatch, command, grid):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     cfg = tmp_path / "short.cfg"
     cfg.write_text(DSC_CONFIG.replace("t_max = 60\ndt = 0.1\n", grid))
     extra = SWEEP_ARGS if command == "sweep" else []
@@ -472,7 +572,7 @@ def test_step_longer_than_grid_exits_1(tmp_path, capsys, monkeypatch, command, g
 
 
 def test_simulate_without_t_max_exits_1_naming_the_key(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     cfg = tmp_path / "no_t_max.cfg"
     cfg.write_text(DSC_CONFIG.replace("t_max = 60\ndt = 0.1\n", ""))
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -482,7 +582,7 @@ def test_simulate_without_t_max_exits_1_naming_the_key(tmp_path, capsys, monkeyp
 
 
 def test_simulate_with_nothing_to_write_exits_1_naming_the_key(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     cfg = tmp_path / "silent.cfg"
     cfg.write_text(DSC_CONFIG + "\n[output]\noutputs =\n")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -500,7 +600,7 @@ def test_simulate_with_empty_outputs_and_image_writes_only_the_pgm(tmp_path):
 
 
 def test_simulate_dt_larger_than_t_max_exits_1_naming_the_key(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     cfg = tmp_path / "short.cfg"
     cfg.write_text(DSC_CONFIG.replace("t_max = 60", "t_max = 0.05"))
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -543,7 +643,7 @@ def test_design_needs_no_grid_section(tmp_path):
 def test_overflowing_model_value_exits_1_naming_the_key(
     tmp_path, capsys, monkeypatch, line, bad, key
 ):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     monkeypatch.setattr(cli, "design", _refuse_to_run)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(DSC_CONFIG.replace(line, bad))
@@ -558,7 +658,7 @@ def test_overflowing_model_value_exits_1_naming_the_key(
 def test_sweep_overflowing_omega0_exits_1_before_any_point_runs(
     config_path, tmp_path, capsys, monkeypatch, value
 ):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     rc = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"),
                f"--omega0-list=0.1,{value}"])
     assert rc == 1
@@ -569,7 +669,7 @@ def test_sweep_overflowing_omega0_exits_1_before_any_point_runs(
 def test_working_set_beyond_memory_exits_1_although_the_map_fits(
     config_path, tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setattr(cli, "run_trajectory", _refuse_to_run)
+    refuse_to_run(monkeypatch)
     map_bytes = 8 * 601 * 64   # DSC_CONFIG: 601 points x 64 sites
     need = config.check_memory("grid", n_trunc=64, points=601)
     assert need > 3 * map_bytes

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabichain.dynamics import Trajectory, run_trajectory
+from rabichain.dynamics import run_trajectory
 from rabichain.model import FullState, RabiParams
 from rabichain.output import (
     _BLOCK_VALUES,
@@ -244,9 +244,8 @@ def test_pgm_of_the_reached_sites_is_the_whole_map_raster():
         pnt = np.zeros((9, 24))
         pnt[:, :reach] = rng.uniform(0.0, 1.0, size=(9, reach)) ** 3
         pnt[2, reach - 1] = 0.0    # a zero inside the reach, and a peak at a random site
-        traj = Trajectory(t_grid=np.arange(9.0), pnt=pnt, p_e=np.zeros(9), p_r=np.zeros(9),
-                          mean_n=np.zeros(9), top_site_occupancy=0.0)
-        assert intensity_map_pgm(traj) == whole_map_pgm(pnt)
+        assert intensity_map_pgm(pnt.T, 24) == whole_map_pgm(pnt)
+        assert intensity_map_pgm(pnt.T[:reach], 24) == whole_map_pgm(pnt)   # the first sites only
     e0 = FullState.basis_state("e", 0, 48)
     traj = run_trajectory(RabiParams(omega0=0.1, omega=0.23, g=0.15, n_trunc=48), e0, 30.0, 0.5)
-    assert intensity_map_pgm(traj) == whole_map_pgm(traj.pnt)
+    assert intensity_map_pgm(traj.pnt.T, 48) == whole_map_pgm(traj.pnt)
