@@ -23,7 +23,6 @@ from .dynamics import (
     TRUNCATION_OCCUPANCY,
     EigendecompositionError,
     grid_points,
-    run_trajectory,
     time_grid,
     top_occupancy,
     trajectory_blocks,
@@ -109,7 +108,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_grid(params: RabiParams, t_max: float, dt: float, grid: str, runs: int = 1,
-                keep_map: bool = True) -> None:
+                keep_map: bool = False) -> None:
     """Raise ConfigError, before anything is allocated, for a grid the run cannot hold.
 
     That is a step longer than the grid, phases lambda t that overflow
@@ -191,24 +190,24 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     return EXIT_OK
 
 
-def _sweep_point(params: RabiParams, omega0: float, t_bounce: float, dt: float):
-    """One sweep point over [0, t_bounce], using the device convention for signed omega0.
+def _sweep_point(params: RabiParams, omega0: float, t_grid: np.ndarray):
+    """One sweep point over ``t_grid``, using the device convention for signed omega0.
 
     ``params`` is the model with |omega0|; the sign selects the initial
     state (excited for omega0 >= 0, ground otherwise).  The two choices
     excite the two different parity chains, so the signed value reaches
-    both.
+    both.  min P_r, min population and max <n> are folded block by block;
+    ``np.minimum`` and ``np.maximum`` keep a nan, as a whole-grid min does.
     """
-    branch = "e" if omega0 >= 0 else "g"
-    initial = FullState.basis_state(branch, 0, params.n_trunc)
-    traj = run_trajectory(params, initial, t_bounce, dt)
-    population = traj.p_e if omega0 >= 0 else traj.p_g
-    return (
-        omega0,
-        float(traj.p_r.min()),
-        float(population.min()),
-        float(traj.mean_n.max()),
-    )
+    excited = omega0 >= 0
+    initial = FullState.basis_state("e" if excited else "g", 0, params.n_trunc)
+    min_p_r = min_population = np.inf
+    max_mean_n = -np.inf
+    for _, _, p_e, p_r, mean_n in trajectory_blocks(params, initial, t_grid):
+        min_p_r = np.minimum(min_p_r, p_r.min())
+        min_population = np.minimum(min_population, (p_e if excited else 1.0 - p_e).min())
+        max_mean_n = np.maximum(max_mean_n, mean_n.max())
+    return omega0, float(min_p_r), float(min_population), float(max_mean_n)
 
 
 def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int) -> int:
@@ -231,10 +230,11 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
         f"(sweep does not read grid.t_max)",
         runs=runs,
     )
+    t_grid = time_grid(t_bounce, dt)
     # one BLAS thread per worker, whatever --jobs is: the pool owns the parallelism, and at a
     # sweep point's sizes BLAS threads cost more CPU time than they save wall time
     with _blas_threads(1), ThreadPoolExecutor(max_workers=runs) as pool:
-        rows = list(pool.map(lambda p, v: _sweep_point(p, v, t_bounce, dt), models, omega0_list))
+        rows = list(pool.map(lambda p, v: _sweep_point(p, v, t_grid), models, omega0_list))
     write_text(out_dir / "sweep.tsv", sweep_summary_text(rows))
     return EXIT_OK
 
@@ -255,8 +255,10 @@ def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
             f"the recipe misses its targets: max relative deviation "
             f"{report.max_rel_deviation:.6e}, bound {RECIPE_DEVIATION_TOL:.0e}"
         )
-    write_text(out_dir / "recipe.tsv", format_recipe(recipe))
-    write_text(out_dir / "recipe_report.txt", report.to_text())
+    # both files are renamed into place only when both are written
+    with text_file(out_dir / "recipe.tsv") as tsv, text_file(out_dir / "recipe_report.txt") as txt:
+        tsv.write(format_recipe(recipe))
+        txt.write(report.to_text())
     return EXIT_OK
 
 

@@ -43,31 +43,30 @@ class ConfigError(ValueError):
 
 # Upper bounds on the bytes a command holds at once, counted from the code.
 #
-# A trajectory (run_trajectory, or simulate's stream of blocks), for two
-# occupied chains that reach every site.  Per n_trunc^2 (32): the two
-# chains' float eigenvector matrices, or the rows of them that an
+# Every run is a stream of blocks (dynamics.trajectory_blocks), here for
+# two occupied chains that reach every site.  Per run and n_trunc^2 (32):
+# the two chains' float eigenvector matrices, or the rows of them that an
 # evolution keeps (16), plus either build_chain's two float verification
 # temporaries or the complex copy of the rows that a product casts (16).
-# Per site and point of the largest block (64): the complex right-hand
-# side, its two complex phase temporaries and the other chain's complex
-# product; to_branches' output next to both products; or the amplitudes
-# next to the observables' temporaries.  Per grid cell (point x site), the
-# float map P(n, t) (8), which run_trajectory returns and simulate keeps
-# for --image only; per point, the grid and P_e, P_g, P_r and <n> (40).
+# Per run and site and point of the largest block (64): the complex
+# right-hand side, its two complex phase temporaries and the other chain's
+# complex product; to_branches' output next to both products; or the
+# amplitudes next to the observables' temporaries and the block's
+# per-point observables.  Once per command: the grid, per point (8).
 MATRIX_BYTES = 32
 BLOCK_CELL_BYTES = 64
-CELL_BYTES = 8
-POINT_BYTES = 40
+POINT_BYTES = 8
 LARGEST_BLOCK = BLOCK_POINTS + MIN_TAIL_POINTS - 1
-# The output phase of simulate, which holds no table's text whole: per map
-# cell, with --image, the PGM raster's float and uint8 copies (16).  Once:
-# the block the writer thread formats while the next block is evolved, its
-# P(n, t) per site and point of the largest block (8); and the text block
-# being encoded by output.format_rows, _BLOCK_VALUES at most, each held as a
-# float in the block (8), five float or int64 arrays (the live columns'
-# copy, |x|, e, m and the digits; 40), two bool masks (2), its 20-byte cell
-# of uint32 words, the cell's keep mask, the kept bytes and their str (80).
-OUTPUT_CELL_BYTES = 16
+# The output phase, which holds no table's text whole.  Per map cell, for
+# simulate --image only: the map P(n, t) of the reached sites (8) and the
+# PGM raster's float and uint8 copies (16).  Once: the block the writer
+# thread formats while the next block is evolved, its P(n, t) per site and
+# point of the largest block (8); and the text block being encoded by
+# output.format_rows, _BLOCK_VALUES at most, each held as a float in the
+# block (8), five float or int64 arrays (the live columns' copy, |x|, e, m
+# and the digits; 40), two bool masks (2), its 20-byte cell of uint32
+# words, the cell's keep mask, the kept bytes and their str (80).
+MAP_CELL_BYTES = 24
 WRITTEN_CELL_BYTES = 8
 FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * _BLOCK_VALUES
 # design, per guide.  Arrays: lattice.design's 13 float arrays while the
@@ -90,12 +89,12 @@ def _physical_memory_bytes() -> float:
 
 def check_memory(
     key: str, n_trunc: int = 0, points: float = 0, runs: int = 1, n_guides: int = 0,
-    keep_map: bool = True,
+    keep_map: bool = False,
 ) -> float:
-    """Bytes held at once by ``runs`` trajectories on ``points`` grid points, or by a design.
+    """Bytes held at once by ``runs`` block streams over one ``points``-point grid, or by a design.
 
-    ``keep_map`` is False for a run that keeps no map P(n, t) or raster
-    (simulate without --image).  Raises ConfigError naming ``key`` when
+    ``keep_map`` is True for the one run that keeps the map P(n, t) and
+    its raster (simulate --image).  Raises ConfigError naming ``key`` when
     they exceed physical memory; call it before anything of that size is
     allocated.
     """
@@ -103,11 +102,10 @@ def check_memory(
     n, guides = (float(min(max(count, 0), 2**64)) for count in (n_trunc, n_guides))
     cells = points * n if keep_map else 0.0
     block = n * min(points, LARGEST_BLOCK)
-    need = (runs * (MATRIX_BYTES * n * n + BLOCK_CELL_BYTES * block + CELL_BYTES * cells
-                    + POINT_BYTES * points)
+    need = (runs * (MATRIX_BYTES * n * n + BLOCK_CELL_BYTES * block)
             + GUIDE_BYTES * guides
-            + (OUTPUT_CELL_BYTES * cells + WRITTEN_CELL_BYTES * block + FORMAT_BLOCK_BYTES
-               if points else 0))
+            + (POINT_BYTES * points + MAP_CELL_BYTES * cells + WRITTEN_CELL_BYTES * block
+               + FORMAT_BLOCK_BYTES if points else 0))
     physical = _physical_memory_bytes()
     if need > physical:
         raise ConfigError(f"{key}: the run needs about {need / 2**30:.3g} GiB, more than "

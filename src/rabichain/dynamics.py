@@ -21,9 +21,9 @@ the chains over the time grid one block at a time and writes the chain
 sites back onto the qubit branches, a_n and b_n, with
 ``model.to_branches``, the inverse that the decompose/recompose
 round-trip checks.  :func:`trajectory_blocks` yields the observables of
-each block.  :func:`run_trajectory` collects them over the whole output
-grid into a :class:`Trajectory`, which ``sweep`` and ``validate`` read;
-``simulate`` hands each block to its writer thread instead.
+each block, all the CLI reads: ``simulate`` writes them and a ``sweep``
+point folds its extremes over them.  :func:`run_trajectory` collects
+them into a :class:`Trajectory`, which ``validate`` reads.
 :func:`chain_reference_state` runs the path over the one-point grid {t}.
 The observables P(n), P_e, P_r and <n> have one implementation,
 :func:`observables`, for the amplitudes of one state, shape (n,), or of a

@@ -24,7 +24,7 @@ from rabichain import analytic, cli, config, dynamics, output
 from rabichain.cli import main
 from rabichain.dynamics import grid_points
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
-from rabichain.model import RabiParams
+from rabichain.model import FullState, RabiParams
 from test_dynamics import perturbed_eigh_tridiagonal
 
 DSC_CONFIG = """
@@ -229,6 +229,31 @@ def test_sweep_single_point_matches_simulate(config_path, tmp_path):
     assert data[0, 3] == pytest.approx(1.70132, abs=2e-4)
 
 
+@pytest.mark.parametrize("points", [1000, 1087, 1088, 2049])
+def test_sweep_folds_the_extremes_of_the_whole_trajectory(tmp_path, points):
+    # one block; a block with a joined 63-point tail; two blocks; two blocks with a joined tail
+    t_bounce = 2 * np.pi / 0.23
+    dt = t_bounce / (points - 1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG.replace("dt = 0.1", f"dt = {dt!r}"))
+    omega0_list = [-0.08, 0.0, 0.05]
+    rows = []
+    with cli._blas_threads(1):   # as the sweep pool runs
+        for v in omega0_list:
+            params = RabiParams(omega0=abs(v), omega=0.23, g=0.15, n_trunc=64)
+            initial = FullState.basis_state("e" if v >= 0 else "g", 0, 64)
+            traj = dynamics.run_trajectory(params, initial, t_bounce, dt)
+            assert traj.t_grid.shape[0] == points
+            population = traj.p_e if v >= 0 else traj.p_g
+            rows.append((v, traj.p_r.min(), population.min(), traj.mean_n.max()))
+    whole = "".join(output.sweep_summary_text(rows)).encode("ascii")
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs,
+                     "--omega0-list=" + ",".join(map(str, omega0_list))]) == 0
+        assert (out / "sweep.tsv").read_bytes() == whole
+
+
 def test_sweep_monotone_and_parallel_deterministic(config_path, tmp_path):
     # "=" form: a bare value starting with "-" would parse as an option
     args = ["sweep", "--config", str(config_path),
@@ -409,6 +434,22 @@ def test_design_writes_recipe_and_report(config_path, tmp_path):
     assert (out / "recipe_report.txt").read_bytes() == (again / "recipe_report.txt").read_bytes()
 
 
+def test_design_that_fails_to_write_its_report_keeps_the_earlier_recipe(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["design", "--config", str(config_path), "--out", str(out)]) == 0
+    earlier = (out / "recipe.tsv").read_bytes()
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(DSC_CONFIG.replace("g = 0.15", "g = 0.14"))
+    assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "other")]) == 0
+    assert (tmp_path / "other" / "recipe.tsv").read_bytes() != earlier
+    (out / "recipe_report.txt").unlink()
+    (out / "recipe_report.txt").mkdir()   # the report can no longer be renamed into place
+    assert main(["design", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (out / "recipe.tsv").read_bytes() == earlier
+    assert sorted(p.name for p in out.iterdir()) == ["recipe.tsv", "recipe_report.txt"]
+    assert list((out / "recipe_report.txt").iterdir()) == []
+
+
 def test_design_infeasible_coupling_exits_2(config_path, tmp_path):
     cfg = tmp_path / "hot.cfg"
     cfg.write_text(DSC_CONFIG.replace("g = 0.15", "g = 10"))
@@ -492,9 +533,8 @@ def _refuse_to_run(*args, **kwargs):
 
 
 def refuse_to_run(monkeypatch):
-    """Make the names the commands evolve through raise: run_trajectory and trajectory_blocks."""
-    for name in ("run_trajectory", "trajectory_blocks"):
-        monkeypatch.setattr(cli, name, _refuse_to_run)
+    """Make the one name the commands evolve through, trajectory_blocks, raise."""
+    monkeypatch.setattr(cli, "trajectory_blocks", _refuse_to_run)
 
 
 SWEEP_ARGS = ["--omega0-list=0.1,-0.1"]
@@ -721,7 +761,9 @@ def test_memory_estimate_covers_the_measured_peak(tmp_path, command, extra, outp
         points, runs = grid_points(2 * np.pi / 0.23, dt), 2
     else:
         points, runs = grid_points(t_max, dt), 1
-    assert config.check_memory("grid", n_trunc=n, points=points, runs=runs) >= peak
+    keep_map = "--image" in extra   # as the command passes it
+    assert config.check_memory("grid", n_trunc=n, points=points, runs=runs,
+                               keep_map=keep_map) >= peak
 
 
 def test_design_memory_estimate_covers_the_measured_peak(tmp_path):
