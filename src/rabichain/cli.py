@@ -8,6 +8,7 @@ error, 2 numeric/feasibility error, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import openblas_libraries
 from .config import ConfigError, RunConfig, check_memory, load_config
 from .dynamics import (
     TRUNCATION_OCCUPANCY,
@@ -57,7 +59,6 @@ EXIT_VALIDATION = 3
 SWEEP_DEFAULT_DT = 0.05
 SIMULATE_DEFAULT_DT = 0.1
 
-_MAPS = "/proc/self/maps"   # where the loaded OpenBLAS libraries are listed
 _OPENBLAS_THREADS = [   # (get, set) symbols: numpy's build, scipy's build, a plain build
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -69,23 +70,11 @@ _OPENBLAS_THREADS = [   # (get, set) symbols: numpy's build, scipy's build, a pl
 def _blas_threads(n: int):
     """Cap every loaded OpenBLAS at n threads for the block, and restore the old counts after it.
 
-    numpy and scipy each bundle their own OpenBLAS.  A count already below n
-    (say, from ``OPENBLAS_NUM_THREADS``) is kept.  Nothing happens where
-    /proc/self/maps cannot be read or lists no OpenBLAS.
+    A count already below n (say, from ``OPENBLAS_NUM_THREADS``) is kept.
+    Nothing happens where ``blas.openblas_libraries`` finds no OpenBLAS.
     """
-    import ctypes
-
-    try:
-        with open(_MAPS) as maps:
-            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:
-        libs = []
     restore = []
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:   # a mapping whose file is gone
-            continue
+    for handle in openblas_libraries():
         for get, set_ in _OPENBLAS_THREADS:
             if hasattr(handle, get) and hasattr(handle, set_):
                 old, setter = getattr(handle, get)(), getattr(handle, set_)

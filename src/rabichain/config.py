@@ -45,9 +45,9 @@ class ConfigError(ValueError):
 #
 # Every run is a stream of blocks (dynamics.trajectory_blocks), here for
 # two occupied chains that reach every site.  Per run and n_trunc^2 (32):
-# the two chains' float eigenvector matrices, or the rows of them that an
-# evolution keeps (16), plus either build_chain's two float verification
-# temporaries or the complex copy of the rows that a product casts (16).
+# the two chains' float eigenvector matrices, or the (reach, K') blocks an
+# evolution keeps (16), plus build_chain's two float verification
+# temporaries or a product's complex cast of a block, reach x K' <= n^2 (16).
 # Per run and site and point of the largest block (64): the complex
 # right-hand side, its two complex phase temporaries and the other chain's
 # complex product; to_branches' output next to both products; or the
@@ -65,17 +65,18 @@ LARGEST_BLOCK = BLOCK_POINTS + MIN_TAIL_POINTS - 1
 # output.format_rows, _BLOCK_VALUES at most, each held as a float in the
 # block (8), five float or int64 arrays (the live columns' copy, |x|, e, m
 # and the digits; 40), two bool masks (2), its 20-byte cell of uint32
-# words, the cell's keep mask, the kept bytes and their str (80).
+# words, the cell's keep mask, the kept bytes and their str (80), and the
+# str of the text block before it, which output._rows_text still holds (20).
 MAP_CELL_BYTES = 24
 WRITTEN_CELL_BYTES = 8
-FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * _BLOCK_VALUES
+FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80 + 20) * _BLOCK_VALUES
 # design, per guide.  Arrays: lattice.design's 13 float arrays while the
 # recipe copies 7 of them (160), then the recipe and the report's 9 arrays
 # (128) with verify_recipe's list of Python floats and temporaries (64).
 # Text, with the recipe and report held: a table is a list of row strings
 # (row length + 57 each), their join and its encoding, 3 x row length + 57.
 # recipe.tsv rows are at most 8 fields of 20 characters (160), and encoding
-# them peaks at 7 x 130 bytes (FORMAT_BLOCK_BYTES' count); the report's rows,
+# them peaks at 7 x 130 bytes (format_rows' count above); the report's rows,
 # which set the figure, at most 710 (two fixed-point fields of 317).
 GUIDE_BYTES = 128 + 3 * 710 + 57
 

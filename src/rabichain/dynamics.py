@@ -16,7 +16,7 @@ grid.
 There is one propagation path, ``_amplitudes``.  It decomposes the
 initial state, builds each non-empty chain once with its eigenbasis
 coefficients, live components and reach (``_chain_evolution``, which
-keeps only the rows of the eigenbasis the state reaches), then evolves
+keeps only the block of the eigenbasis the state uses), then evolves
 the chains over the time grid one block at a time and writes the chain
 sites back onto the qubit branches, a_n and b_n, with
 ``model.to_branches``, the inverse that the decompose/recompose
@@ -52,6 +52,14 @@ so P_r and <n> can differ in the last bit between thread counts, as they
 did before blocks (2 cells of <n> at n_trunc 1024 over 6,001 points);
 P(n) and P_e do not.
 
+The product V[:reach] @ rhs skips dead eigencomponents: with L one past
+the last live one, its inner dimension is K' = 128 ceil(L / 128) where
+K' <= n_trunc - 128, else n_trunc.  The rule is measured: on OpenBLAS'
+SkylakeX core every such cut kept every bit (its zgemm seems to sum K in
+128-wide panels while 256 or more remain), while cuts to L or past
+n_trunc - 128 did not.  So it cuts only where numpy's OpenBLAS reports
+a core in PANEL_CORES, read at the first evolution (``blas.numpy_core``).
+
 A dense diagonalization of the untransformed two-branch Hamiltonian serves
 as an independent cross-check and is used only in tests and the validation
 suite.  It mirrors the production path: :func:`full_rabi_amplitudes` runs
@@ -71,6 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .model import (
     NORM_TOL,
     RECOMPOSE_WEIGHT_TOL,
@@ -87,6 +96,7 @@ TRUNCATION_OCCUPANCY = 1e-8   # top-two-site occupancy that flags a trajectory
 FULL_RABI_MAX_TRUNC = 256     # the dense oracle is O((2 n_trunc)^3)
 BLOCK_POINTS = 1024           # grid points evolved at a time; blocks start at its multiples
 MIN_TAIL_POINTS = 64          # a shorter last block merges into the block before it
+PANEL_WIDTH, PANEL_CORES = 128, frozenset({"SkylakeX"})   # zgemm K panels; cores a test checked
 
 
 def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,27 +195,32 @@ def _grid_blocks(points: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [points])]
 
 
+def _inner_dimension(live_end: int, n: int, core: str | None) -> int:
+    """The GEMM's inner dimension K' for the live components below ``live_end`` of ``n``."""
+    cut = PANEL_WIDTH * -(-live_end // PANEL_WIDTH)
+    return cut if core in PANEL_CORES and cut <= n - PANEL_WIDTH else n
+
+
 def _chain_evolution(h: ChainHamiltonian, coeffs: np.ndarray):
     """The function t -> V exp(-i Lambda t) coeffs on the sites a state reaches, shape (reach, len(t)).
 
     ``coeffs`` are the initial amplitudes in the eigenbasis, V^T psi(0).
-    The live components and the reach are found once, here; sites
-    reach..n_trunc-1 are exactly zero at every time (module docstring).
-    The function keeps no reference to ``h``, only a copy of the rows of V
-    the state reaches, so the n_trunc^2 eigenbasis is freed before the
-    first block.  The rows stay float: a complex copy kept for the whole
-    run would hold twice the bytes, and the product's own cast is
-    transient.
+    The live components, the reach and K' are found once, here; sites
+    reach..n_trunc-1 and components K'..n_trunc-1 add nothing (module
+    docstring).  The function keeps no reference to ``h``, only a float
+    copy of the (reach, K') block of V, so the n_trunc^2 eigenbasis is
+    freed before the first block: a complex copy kept for the whole run
+    would hold twice the bytes, and the product's own cast is transient.
     """
-    n = h.n_trunc
     live = np.flatnonzero(coeffs)
+    k = _inner_dimension(int(live[-1]) + 1 if live.size else 0, h.n_trunc, blas.numpy_core())
     touched = np.flatnonzero(np.any(h.eigenvectors[:, live] != 0.0, axis=1))
     reach = int(touched[-1]) + 1 if touched.size else 0
-    v = h.eigenvectors[:reach].copy()
+    v = h.eigenvectors[:reach, :k].copy()
     evals, c = h.eigenvalues[live], coeffs[live, None]
 
     def evolve(t: np.ndarray) -> np.ndarray:
-        rhs = np.zeros((n, t.shape[0]), dtype=complex)
+        rhs = np.zeros((k, t.shape[0]), dtype=complex)
         rhs[live] = np.exp(-1j * np.outer(evals, t)) * c
         return v @ rhs
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabichain import analytic, cli, config, dynamics, output
+from rabichain import analytic, blas, cli, config, dynamics, output
 from rabichain.cli import main
 from rabichain.dynamics import grid_points
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
@@ -328,12 +328,13 @@ def test_blas_cap_does_nothing_without_an_openblas_listed(tmp_path, monkeypatch,
     path = tmp_path / "maps"   # None: the file cannot be read
     if maps is not None:
         path.write_text(maps)
-    monkeypatch.setattr(cli, "_MAPS", str(path))
+    monkeypatch.setattr(blas, "_MAPS", str(path))
     counts = blas_threads if Path("/proc/self/maps").exists() else dict
     before = counts()
     with cli._blas_threads(1):
         assert counts() == before
     assert counts() == before
+    assert blas.numpy_core.__wrapped__() is None   # no core to read: the full product
 
 
 def run_fresh(script, *args):
@@ -739,10 +740,12 @@ def test_sweep_memory_check_counts_the_points_that_run_at_once(
         ("simulate", ["--image"], "timeseries, intensity_map"),
         ("simulate", [], "timeseries"),
         ("sweep", ["--jobs", "2", "--omega0-list=-0.1,0.05,0.1"], "timeseries"),
+        ("simulate", [], "timeseries, intensity_map"),
     ],
 )
 def test_memory_estimate_covers_the_measured_peak(tmp_path, command, extra, outputs):
-    # g/omega 3: every site is reached; a two-chain state where the command allows one
+    # g/omega 3: every site is reached and the product is not cut (94 of 96 components live);
+    # a two-chain state where the command allows one
     n, t_max, dt = 96, 40.0, 0.02
     text = (DSC_CONFIG.replace("g = 0.15", "g = 0.7").replace("n_trunc = 64", f"n_trunc = {n}")
             .replace("omega0 = 0", "omega0 = 0.1").replace("t_max = 60", f"t_max = {t_max}")

@@ -3,6 +3,7 @@
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from rabichain import cli, dynamics
+from rabichain import blas, cli, dynamics
 from rabichain.dynamics import (
     DimensionMismatchError,
     EigendecompositionError,
@@ -292,37 +293,64 @@ def low_fock_superposition(n_trunc, sites, seed):
 
 
 def largest_reach(params, initial):
-    reaches = [0]
-    for part in decompose(initial):
-        if part.weight != 0.0:
-            h = build_chain(params, part.chain)
-            reaches.append(_chain_evolution(h, h.eigenvectors.T @ part.amp)(np.zeros(1)).shape[0])
-    return max(reaches)
+    """The largest reach and GEMM inner dimension K' over the chains the state occupies."""
+    real, reaches, inner = dynamics._inner_dimension, [0], [0]
+
+    def inner_dimension(*args):
+        inner.append(real(*args))
+        return inner[-1]
+
+    with mock.patch.object(dynamics, "_inner_dimension", inner_dimension):
+        for part in decompose(initial):
+            if part.weight != 0.0:
+                h = build_chain(params, part.chain)
+                evolve = _chain_evolution(h, h.eigenvectors.T @ part.amp)
+                reaches.append(evolve(np.zeros(1)).shape[0])
+    return max(reaches), max(inner)
 
 
 @pytest.mark.parametrize(
-    "params, initial, restricted",
+    "params, initial, restricted, inner",
     [
-        # e0 at g/omega 0.65: nothing past site 256 is reached
+        # e0 at g/omega 0.65: nothing past site 256 is reached, no component past 169 is live
         (RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=1024),
-         FullState.basis_state("e", 0, 1024), True),
+         FullState.basis_state("e", 0, 1024), True, 256),
         # g/omega > 2: every site is reached
         (RabiParams(omega0=0.1, omega=0.23, g=0.6, n_trunc=64),
-         FullState.basis_state("e", 0, 64), False),
+         FullState.basis_state("e", 0, 64), False, 64),
         # g2 lives on the F chain alone: the C chain is empty
         (RabiParams(omega0=0.05, omega=0.23, g=0.15, n_trunc=48),
-         FullState.basis_state("g", 2, 48), False),
+         FullState.basis_state("g", 2, 48), False, 48),
         # complex superpositions on both chains
         (RabiParams(omega0=-0.08, omega=0.23, g=0.15, n_trunc=40),
-         random_full_state(np.random.default_rng(11), 40), False),
+         random_full_state(np.random.default_rng(11), 40), False, 40),
         (RabiParams(omega0=0.08, omega=0.23, g=0.15, n_trunc=512),
-         low_fock_superposition(512, 4, seed=5), True),
+         low_fock_superposition(512, 4, seed=5), True, 256),
+        # 194 live components: 256 is past n_trunc - 128, so nothing is cut
+        (RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=300),
+         FullState.basis_state("e", 0, 300), False, 300),
+        # 219 live components: there a product cut at 256 changes bits
+        (RabiParams(omega0=0.0, omega=0.23, g=0.3, n_trunc=300),
+         FullState.basis_state("e", 0, 300), False, 300),
+        # 140 live components reach 200 sites, fewer than the 256 components kept
+        (RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=400),
+         FullState.basis_state("e", 0, 400), True, 256),
+        # g/omega 3.5: 743 live components over every site
+        (RabiParams(omega0=0.0, omega=0.23, g=0.81, n_trunc=1024),
+         FullState.basis_state("e", 0, 1024), False, 768),
     ],
-    ids=["reach-below-n", "reach-n", "one-chain-empty", "two-chains", "two-chains-reach-below-n"],
+    ids=["reach-below-n", "reach-n", "one-chain-empty", "two-chains", "two-chains-reach-below-n",
+         "no-cut-past-n-minus-128", "no-cut-where-a-cut-changes-bits", "reach-below-cut",
+         "cut-above-256"],
 )
-def test_restricted_propagation_is_bit_identical_to_the_full_product(params, initial, restricted):
+def test_restricted_propagation_is_bit_identical_to_the_full_product(
+    params, initial, restricted, inner
+):
     n = params.n_trunc
-    assert (largest_reach(params, initial) < n) == restricted
+    reach, used = largest_reach(params, initial)
+    assert (reach < n) == restricted
+    # the cut K' on an OpenBLAS core whose K panels are checked, the full product on any other
+    assert used == (inner if blas.numpy_core() in dynamics.PANEL_CORES else n)
     # 61 points are one block.  1025, 1026 and 1087 points leave a last 1024-point block of 1,
     # 2 and 63 points, which joins the first; 1088 leave one of 64, which stands; 2049 are two
     # blocks, the second with the 1-point tail.  At one BLAS thread: with more, gemv splits its
@@ -342,6 +370,34 @@ def test_restricted_propagation_is_bit_identical_to_the_full_product(params, ini
         state = chain_reference_state(params, initial, float(traj.t_grid[k]))
         assert np.array_equal(np.abs(state.amp_e) ** 2, np.abs(amp_e[:, 0]) ** 2)
         assert np.array_equal(np.abs(state.amp_g) ** 2, np.abs(amp_g[:, 0]) ** 2)
+
+
+@pytest.mark.parametrize(
+    "live_end, n, inner",
+    [
+        (1, 256, 128), (128, 256, 128), (129, 256, 256),   # K' = n - 128 cuts; past it, none
+        (129, 384, 256), (129, 383, 383),                  # K' = n - 128 cuts, n - 127 does not
+        (170, 1024, 256), (194, 300, 300), (743, 1024, 768), (768, 1024, 768),
+        (769, 1024, 896), (897, 1024, 1024), (64, 64, 64), (1024, 1024, 1024),
+    ],
+)
+def test_inner_dimension_cuts_at_panels_only_on_a_checked_core(live_end, n, inner):
+    assert dynamics._inner_dimension(live_end, n, "SkylakeX") == inner
+    for core in ("Haswell", "", None):
+        assert dynamics._inner_dimension(live_end, n, core) == n
+
+
+@pytest.mark.parametrize("core", ["Haswell", None])
+def test_an_unchecked_core_takes_the_full_product_with_the_same_bits(monkeypatch, core):
+    n = 1024
+    params, e0 = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=n), FullState.basis_state("e", 0, n)
+    with cli._blas_threads(1):
+        cut = run_trajectory(params, e0, 120.0, 0.1)   # on the running core: K' 256 on SkylakeX
+        monkeypatch.setattr(blas, "numpy_core", lambda: core)
+        assert largest_reach(params, e0) == (256, n)
+        full = run_trajectory(params, e0, 120.0, 0.1)
+    for name in ("pnt", "p_e", "p_r", "mean_n"):
+        assert np.array_equal(getattr(cut, name), getattr(full, name))
 
 
 @st.composite
