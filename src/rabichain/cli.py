@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blas import openblas_libraries
+from .blas import lapack, openblas_libraries
 from .config import ConfigError, RunConfig, check_memory, load_config
 from .dynamics import (
     TRUNCATION_OCCUPANCY,
@@ -283,10 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("simulate", "sweep", "validate"):
-        # the commands that solve load scipy now, not at their first eigensolve: its OpenBLAS
-        # is then mapped when _blas_threads caps the threads, and the import's allocations
-        # come before the large arrays (left to the first call, they raise the peak RSS)
-        import scipy.linalg  # noqa: F401
+        # the commands that solve load scipy's LAPACK wrapper now, not at the first eigensolve: its
+        # OpenBLAS is then mapped when _blas_threads caps the threads, and the load's allocations
+        # come before the large arrays.  Only validate's dense oracle imports scipy.linalg
+        lapack()
 
     try:
         if args.command == "validate":

@@ -64,12 +64,11 @@ LARGEST_BLOCK = BLOCK_POINTS + MIN_TAIL_POINTS - 1
 # point of the largest block (8); and the text block being encoded by
 # output.format_rows, _BLOCK_VALUES at most, each held as a float in the
 # block (8), five float or int64 arrays (the live columns' copy, |x|, e, m
-# and the digits; 40), two bool masks (2), its 20-byte cell of uint32
-# words, the cell's keep mask, the kept bytes and their str (80), and the
-# str of the text block before it, which output._rows_text still holds (20).
+# and the digits; 40), two bool masks (2), and its 20-byte cell of uint32
+# words, the cell's keep mask, the kept bytes and their str (80).
 MAP_CELL_BYTES = 24
 WRITTEN_CELL_BYTES = 8
-FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80 + 20) * _BLOCK_VALUES
+FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * _BLOCK_VALUES
 # design, per guide.  Arrays: lattice.design's 13 float arrays while the
 # recipe copies 7 of them (160), then the recipe and the report's 9 arrays
 # (128) with verify_recipe's list of Python floats and temporaries (64).

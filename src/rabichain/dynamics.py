@@ -66,10 +66,11 @@ suite.  It mirrors the production path: :func:`full_rabi_amplitudes` runs
 one ``eigh`` per model and evolves over a whole time grid, and
 :func:`full_rabi_reference` is that function on the one-point grid {t}.
 
-scipy is imported where its solvers are called, by :func:`eigh_tridiagonal`
-and :func:`full_rabi_amplitudes`, so importing this module (and the package)
-loads no scipy.  The CLI imports ``scipy.linalg`` when a command that solves
-starts, before it caps the BLAS threads or allocates anything.
+scipy is loaded where its solvers are called, so importing this module (and
+the package) loads no scipy.  :func:`eigh_tridiagonal` calls dstevd from
+scipy's LAPACK wrapper alone (``blas.lapack``), which ``simulate``, ``sweep``
+and ``validate`` load when they start, before the BLAS threads are capped;
+only the dense oracle, run by ``validate`` and the tests, imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -100,10 +101,15 @@ PANEL_WIDTH, PANEL_CORES = 128, frozenset({"SkylakeX"})   # zgemm K panels; core
 
 
 def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy.linalg.eigh_tridiagonal, with scipy imported on the first call."""
-    from scipy.linalg import eigh_tridiagonal
-
-    return eigh_tridiagonal(diag, offdiag)
+    """All eigenpairs, ascending: LAPACK dstevd, called and checked as scipy's eigh_tridiagonal does."""
+    if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    evals, evecs, info = blas.lapack().dstevd(diag, offdiag, compute_v=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal dstevd")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
+    return evals, evecs
 
 
 class EigendecompositionError(RuntimeError):
@@ -160,7 +166,7 @@ def build_chain(params: RabiParams, chain: ParityChain) -> ChainHamiltonian:
 
     try:
         evals, evecs = eigh_tridiagonal(diag, offdiag)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
+    except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(
             f"eigensolver failed on {chain.name}-chain: {exc}\n"
             f"diag={diag!r}\noffdiag={offdiag!r}"

@@ -137,6 +137,7 @@ def _rows_text(width: int, *columns: np.ndarray) -> Iterator[str]:
             text = text.replace("\n", "\t" * (live_width > 0)
                                 + "\t".join([_ZERO] * (width - live_width)) + "\n")
         yield text
+        del text   # on resuming, before the next block is encoded
 
 
 def _table_text(header: str, *columns: np.ndarray) -> Iterator[str]:

@@ -25,7 +25,7 @@ from rabichain.cli import main
 from rabichain.dynamics import grid_points
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
 from rabichain.model import FullState, RabiParams
-from test_dynamics import perturbed_eigh_tridiagonal
+from test_dynamics import failing_lapack, perturbed_eigh_tridiagonal
 
 DSC_CONFIG = """
 [model]
@@ -361,6 +361,21 @@ def test_import_and_design_load_no_scipy(config_path, tmp_path):
     )
     assert loaded == [0, False, False]
     assert (tmp_path / "out" / "recipe.tsv").exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--omega0-list=-0.04,0,0.04",
+                                                   "--jobs", "2"]])
+def test_simulate_and_sweep_load_no_scipy_linalg(config_path, tmp_path, command):
+    # the chains are solved through scipy's LAPACK wrapper alone (blas.lapack)
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import rabichain.cli\n"
+        "rc = rabichain.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([rc, 'scipy.linalg' in sys.modules]))\n",
+        *command, "--config", config_path, "--out", tmp_path / "out",
+    )
+    assert loaded == [0, False]
+    assert any((tmp_path / "out").iterdir())
 
 
 # Records the thread counts once the command's solves have run, still inside
@@ -791,6 +806,14 @@ def test_eigensolve_out_of_tolerance_exits_2(config_path, tmp_path, capsys, monk
     rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "out of tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_eigensolve_exits_2(config_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(blas, "lapack", failing_lapack(1))   # dstevd did not converge
+    rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "eigensolver failed on C-chain" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

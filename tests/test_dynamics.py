@@ -1,5 +1,7 @@
 """Chain Hamiltonians, spectral propagation, observables, oracle equivalence."""
 
+import itertools
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -7,9 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
 
 from rabichain import blas, cli, dynamics
 from rabichain.dynamics import (
@@ -29,6 +31,7 @@ from rabichain.model import (
     FullState,
     ParityChain,
     RabiParams,
+    coupling_ladder,
     decompose,
     recompose,
 )
@@ -116,10 +119,67 @@ def test_eigendecomposition_invariants():
     assert np.all(np.diff(h.eigenvalues) >= 0)
 
 
+def chain_matrix(n_trunc, g, omega0, chain):
+    """The diagonal and off-diagonal of a chain at omega 0.23, as build_chain lays them out."""
+    sites = np.arange(n_trunc, dtype=float)
+    return chain.sign * (-1.0) ** sites * omega0 / 2 + 0.23 * sites, coupling_ladder(g, n_trunc)
+
+
+@pytest.mark.parametrize("n_trunc", [2, 16, 300, 1024, 2048])
+def test_eigensolve_is_bit_identical_to_scipy_eigh_tridiagonal(n_trunc):
+    # the same LAPACK dstevd through the same wrapper: every bit of both results agrees.  Every
+    # g, omega0 and sign at the small sizes; at the large ones, four of them
+    cases = list(itertools.product([0.05, 0.3, 2.0], [0.0, 0.04, 0.3], ParityChain))
+    if n_trunc > 300:
+        cases = [(0.05, 0.0, ParityChain.C), (0.3, 0.04, ParityChain.F),
+                 (2.0, 0.3, ParityChain.C), (2.0, 0.3, ParityChain.F)]
+    for case in cases:
+        diag, offdiag = chain_matrix(n_trunc, *case)
+        evals, evecs = dynamics.eigh_tridiagonal(diag, offdiag)
+        want_evals, want_evecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+        assert evals.tobytes() == want_evals.tobytes(), case
+        assert evecs.tobytes() == want_evecs.tobytes(), case
+
+
+@pytest.mark.parametrize("where", ["diag", "offdiag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigensolve_refuses_a_non_finite_entry(where, bad):
+    diag, offdiag = chain_matrix(16, 0.3, 0.04, ParityChain.C)
+    (diag if where == "diag" else offdiag)[5] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        dynamics.eigh_tridiagonal(diag, offdiag)
+
+
+def failing_lapack(info):
+    """A stand-in for blas.lapack whose dstevd returns LAPACK's ``info``."""
+    def dstevd(diag, offdiag, compute_v):
+        return diag.copy(), np.eye(diag.shape[0], order="F"), info
+    return lambda: SimpleNamespace(dstevd=dstevd)
+
+
+@pytest.mark.parametrize("info, error, message", [
+    (3, np.linalg.LinAlgError, r"dstevd did not converge \(LAPACK info=3\)"),
+    (-2, ValueError, "illegal value in argument 2 of internal dstevd"),
+])
+def test_eigensolve_raises_on_a_lapack_error(monkeypatch, info, error, message):
+    monkeypatch.setattr(blas, "lapack", failing_lapack(info))
+    with pytest.raises(error, match=message):
+        dynamics.eigh_tridiagonal(*chain_matrix(16, 0.3, 0.04, ParityChain.C))
+
+
+def test_missing_lapack_wrapper_is_an_import_error(monkeypatch, tmp_path):
+    # no fallback to scipy.linalg: a scipy without the wrapper file fails, naming where and which
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(f"in {tmp_path}/linalg (scipy {scipy.__version__})")):
+        blas.lapack.__wrapped__()
+
+
 def perturbed_eigh_tridiagonal(perturb):
-    """eigh_tridiagonal with eigenvalue 3 shifted, or eigenvector 3 stretched, by 1e-6."""
+    """The package's eigh_tridiagonal with eigenvalue 3 shifted, or eigenvector 3 stretched, by 1e-6."""
+    solver = dynamics.eigh_tridiagonal   # taken here, before the caller patches it
+
     def solve(diag, offdiag):
-        evals, evecs = eigh_tridiagonal(diag, offdiag)
+        evals, evecs = solver(diag, offdiag)
         if perturb == "eigenvalue":
             evals[3] += 1e-6
         else:
