@@ -1,16 +1,24 @@
 """The OpenBLAS libraries loaded, as /proc/self/maps lists them, and scipy's LAPACK wrapper."""
 
 import ctypes   # numpy has imported it already
+from contextlib import contextmanager
 from functools import cache
 
 _MAPS = "/proc/self/maps"
+
+_OPENBLAS_THREADS = [   # (get, set) symbols: numpy's build, scipy's build, a plain build
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+]
 
 
 def openblas_libraries():
     """A ctypes handle on each OpenBLAS loaded (numpy and scipy each bundle one), if any."""
     try:
-        with open(_MAPS) as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        with open(_MAPS) as maps:   # the pathname, the sixth field, may hold spaces
+            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n")
+                            for line in maps if "openblas" in line.lower()})
     except OSError:
         paths = []
     for path in paths:
@@ -18,6 +26,31 @@ def openblas_libraries():
             yield ctypes.CDLL(path)
         except OSError:   # a mapping whose file is gone
             pass
+
+
+@contextmanager
+def one_thread():
+    """Run every loaded OpenBLAS at one thread for the block, and restore the old counts after it.
+
+    scipy's LAPACK wrapper is loaded first, so that its OpenBLAS is mapped
+    and set too.  Nothing happens where :func:`openblas_libraries` finds no
+    OpenBLAS.
+    """
+    lapack()
+    restore = []
+    for handle in openblas_libraries():
+        for get, set_ in _OPENBLAS_THREADS:
+            if hasattr(handle, get) and hasattr(handle, set_):
+                setter = getattr(handle, set_)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                restore.append((setter, getattr(handle, get)()))
+                setter(1)
+                break
+    try:
+        yield
+    finally:
+        for setter, old in restore:
+            setter(old)
 
 
 @cache

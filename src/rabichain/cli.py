@@ -8,18 +8,16 @@ error, 2 numeric/feasibility error, 3 validation failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .blas import lapack, openblas_libraries
+from .blas import one_thread
 from .config import ConfigError, RunConfig, check_memory, load_config
 from .dynamics import (
     TRUNCATION_OCCUPANCY,
@@ -59,36 +57,6 @@ EXIT_VALIDATION = 3
 SWEEP_DEFAULT_DT = 0.05
 SIMULATE_DEFAULT_DT = 0.1
 
-_OPENBLAS_THREADS = [   # (get, set) symbols: numpy's build, scipy's build, a plain build
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-]
-
-
-@contextmanager
-def _blas_threads(n: int):
-    """Cap every loaded OpenBLAS at n threads for the block, and restore the old counts after it.
-
-    A count already below n (say, from ``OPENBLAS_NUM_THREADS``) is kept.
-    Nothing happens where ``blas.openblas_libraries`` finds no OpenBLAS.
-    """
-    restore = []
-    for handle in openblas_libraries():
-        for get, set_ in _OPENBLAS_THREADS:
-            if hasattr(handle, get) and hasattr(handle, set_):
-                old, setter = getattr(handle, get)(), getattr(handle, set_)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                restore.append((setter, old))
-                setter(min(old, n))
-                break
-    try:
-        yield
-    finally:
-        for setter, old in restore:
-            setter(old)
-
-
 class _Parser(argparse.ArgumentParser):
     # usage errors exit with code 1 here, not argparse's default 2
     def error(self, message):
@@ -120,13 +88,6 @@ def _check_grid(params: RabiParams, t_max: float, dt: float, grid: str, runs: in
                  n_trunc=params.n_trunc, points=points, runs=runs, keep_map=keep_map)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     if cfg.t_max is None:
         raise ConfigError("grid.t_max is required by simulate")
@@ -141,8 +102,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     # Two stages: this thread evolves block k+1 while one writer thread formats and writes
     # block k.  Every file is renamed into place only when the last block is written.
     with ExitStack() as stack:
-        if "intensity_map" in cfg.outputs:   # formatting the map keeps a CPU busy: BLAS gets the rest
-            stack.enter_context(_blas_threads(max(1, _usable_cpus() - 1)))
         blocks = trajectory_blocks(cfg.params, cfg.initial, t_grid)   # a failed eigensolve writes nothing
         timeseries = tsv_map = None
         if "timeseries" in cfg.outputs:
@@ -220,9 +179,7 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
         runs=runs,
     )
     t_grid = time_grid(t_bounce, dt)
-    # one BLAS thread per worker, whatever --jobs is: the pool owns the parallelism, and at a
-    # sweep point's sizes BLAS threads cost more CPU time than they save wall time
-    with _blas_threads(1), ThreadPoolExecutor(max_workers=runs) as pool:
+    with ThreadPoolExecutor(max_workers=runs) as pool:
         rows = list(pool.map(lambda p, v: _sweep_point(p, v, t_grid), models, omega0_list))
     write_text(out_dir / "sweep.tsv", sweep_summary_text(rows))
     return EXIT_OK
@@ -252,8 +209,7 @@ def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_validate() -> int:
-    with _blas_threads(1):   # at most 128 x 128 matrices: threads cost more than they gain
-        report = run_validation()
+    report = run_validation()
     print(report.to_text(), end="")
     return EXIT_OK if report.all_passed else EXIT_VALIDATION
 
@@ -282,38 +238,36 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("simulate", "sweep", "validate"):
-        # the commands that solve load scipy's LAPACK wrapper now, not at the first eigensolve: its
-        # OpenBLAS is then mapped when _blas_threads caps the threads, and the load's allocations
-        # come before the large arrays.  Only validate's dense oracle imports scipy.linalg
-        lapack()
+    # The commands that solve run every OpenBLAS at one thread, so their output bytes depend
+    # on neither the CPU count nor OPENBLAS_NUM_THREADS; the sweep pool and simulate's writer
+    # thread are their parallelism.  design solves nothing and loads no scipy
+    with nullcontext() if args.command == "design" else one_thread():
+        try:
+            if args.command == "validate":
+                return cmd_validate()
 
-    try:
-        if args.command == "validate":
-            return cmd_validate()
-
-        cfg = load_config(args.config)
-        out_dir = Path(args.out) if args.out is not None else cfg.output_dir
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, args.image)
-        if args.command == "sweep":
-            try:
-                omega0_list = [float(s) for s in args.omega0_list.split(",") if s.strip()]
-            except ValueError:
-                raise ConfigError(f"bad --omega0-list: {args.omega0_list!r}") from None
-            return cmd_sweep(cfg, omega0_list, out_dir, args.jobs)
-        if args.command == "design":
-            return cmd_design(cfg, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CouplingRangeError, FabricationError, EigendecompositionError) as exc:
-        print(f"numeric/feasibility error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+            cfg = load_config(args.config)
+            out_dir = Path(args.out) if args.out is not None else cfg.output_dir
+            if args.command == "simulate":
+                return cmd_simulate(cfg, out_dir, args.image)
+            if args.command == "sweep":
+                try:
+                    omega0_list = [float(s) for s in args.omega0_list.split(",") if s.strip()]
+                except ValueError:
+                    raise ConfigError(f"bad --omega0-list: {args.omega0_list!r}") from None
+                return cmd_sweep(cfg, omega0_list, out_dir, args.jobs)
+            if args.command == "design":
+                return cmd_design(cfg, out_dir)
+            raise AssertionError(f"unhandled command {args.command}")
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (CouplingRangeError, FabricationError, EigendecompositionError) as exc:
+            print(f"numeric/feasibility error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -46,11 +46,12 @@ call.  A block that starts at a multiple of 1024, a multiple of any
 power-of-two unrolling, puts every row in the same place of its group as
 the whole-grid call did, and merging a short tail keeps the last rows out
 of a tiny call: a 2-point last block changed cells of <n>.  At one BLAS
-thread every array so equals the whole-grid result.  With more threads,
-gemv also splits its rows between the threads by the length of the call,
-so P_r and <n> can differ in the last bit between thread counts, as they
-did before blocks (2 cells of <n> at n_trunc 1024 over 6,001 points);
-P(n) and P_e do not.
+thread every array so equals the whole-grid result; the CLI runs every
+command that solves at one thread (``blas.one_thread``).  A caller that
+runs BLAS at more threads can see last-bit differences in every array,
+P(n) included, between thread counts: the products split their work
+between the threads (2 threads changed 1,436 of the 2,049 rows of the
+map at n_trunc 300, g 0.4, over 2,049 points).
 
 The product V[:reach] @ rhs skips dead eigencomponents: with L one past
 the last live one, its inner dimension is K' = 128 ceil(L / 128) where
@@ -68,9 +69,10 @@ one ``eigh`` per model and evolves over a whole time grid, and
 
 scipy is loaded where its solvers are called, so importing this module (and
 the package) loads no scipy.  :func:`eigh_tridiagonal` calls dstevd from
-scipy's LAPACK wrapper alone (``blas.lapack``), which ``simulate``, ``sweep``
-and ``validate`` load when they start, before the BLAS threads are capped;
-only the dense oracle, run by ``validate`` and the tests, imports scipy.linalg.
+scipy's LAPACK wrapper alone (``blas.lapack``), which ``blas.one_thread``
+loads before it sets the BLAS threads, so ``simulate``, ``sweep`` and
+``validate`` load it when they start; only the dense oracle, run by
+``validate`` and the tests, imports scipy.linalg.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """CLI commands end to end: files, determinism, exit codes."""
 
 import contextlib
+import ctypes
 import inspect
 import json
 import os
@@ -112,7 +113,7 @@ def test_streamed_files_are_the_text_of_the_whole_trajectory(tmp_path, points):
     (tmp_path / "run.cfg").write_text(text)
     run = config.load_config(tmp_path / "run.cfg")
     n = run.params.n_trunc
-    with cli._blas_threads(1):   # P_r and <n> can differ in the last bit between thread counts
+    with blas.one_thread():   # every array can differ in the last bit between thread counts
         traj = dynamics.run_trajectory(run.params, run.initial, run.t_max, run.dt)
         assert traj.t_grid.shape[0] == points
         assert traj.pnt[:, -1].max() == 0.0 < traj.pnt[:, 0].max()
@@ -238,7 +239,7 @@ def test_sweep_folds_the_extremes_of_the_whole_trajectory(tmp_path, points):
     cfg.write_text(DSC_CONFIG.replace("dt = 0.1", f"dt = {dt!r}"))
     omega0_list = [-0.08, 0.0, 0.05]
     rows = []
-    with cli._blas_threads(1):   # as the sweep pool runs
+    with blas.one_thread():   # as the sweep pool runs
         for v in omega0_list:
             params = RabiParams(omega0=abs(v), omega=0.23, g=0.15, n_trunc=64)
             initial = FullState.basis_state("e" if v >= 0 else "g", 0, 64)
@@ -272,11 +273,12 @@ def blas_threads():
     import ctypes
 
     with open("/proc/self/maps") as maps:
-        libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        libs = sorted({line.split(maxsplit=5)[5].rstrip("\n")
+                       for line in maps if "openblas" in line.lower()})
     counts = {}
     for lib in libs:
         handle = ctypes.CDLL(lib)
-        for get, _ in cli._OPENBLAS_THREADS:
+        for get, _ in blas._OPENBLAS_THREADS:
             if hasattr(handle, get):
                 counts[lib] = getattr(handle, get)()
                 break
@@ -317,7 +319,7 @@ def test_sweep_output_does_not_depend_on_the_blas_cap(config_path, tmp_path, mon
     args = ["sweep", "--config", str(config_path), "--omega0-list=-0.08,-0.04,0,0.04,0.08",
             "--jobs", "2"]
     assert main(args + ["--out", str(tmp_path / "capped")]) == 0
-    monkeypatch.setattr(cli, "_blas_threads", lambda n: contextlib.nullcontext())
+    monkeypatch.setattr(cli, "one_thread", contextlib.nullcontext)
     assert main(args + ["--out", str(tmp_path / "default")]) == 0
     assert ((tmp_path / "capped" / "sweep.tsv").read_bytes()
             == (tmp_path / "default" / "sweep.tsv").read_bytes())
@@ -331,10 +333,24 @@ def test_blas_cap_does_nothing_without_an_openblas_listed(tmp_path, monkeypatch,
     monkeypatch.setattr(blas, "_MAPS", str(path))
     counts = blas_threads if Path("/proc/self/maps").exists() else dict
     before = counts()
-    with cli._blas_threads(1):
+    with blas.one_thread():
         assert counts() == before
     assert counts() == before
     assert blas.numpy_core.__wrapped__() is None   # no core to read: the full product
+
+
+@needs_openblas
+def test_openblas_is_found_under_a_path_with_spaces(tmp_path, monkeypatch):
+    core, where = blas.numpy_core(), tmp_path / "My Projects" / "venv lib"
+    where.mkdir(parents=True)
+    maps = tmp_path / "maps"
+    with maps.open("w") as out:
+        for lib in blas_threads():
+            (where / Path(lib).name).symlink_to(lib)
+            out.write(f"7f00-7f01 r-xp 00000000 08:01 42    {where / Path(lib).name}\n")
+    monkeypatch.setattr(blas, "_MAPS", str(maps))
+    assert len(list(blas.openblas_libraries())) == len(blas_threads())
+    assert blas.numpy_core.__wrapped__() == core
 
 
 def run_fresh(script, *args):
@@ -382,7 +398,7 @@ def test_simulate_and_sweep_load_no_scipy_linalg(config_path, tmp_path, command)
 # its cap: scipy's OpenBLAS is mapped by then, even if the command loaded it late.
 FRESH_BLAS = """
 import json, sys
-from rabichain import cli
+from rabichain import blas, cli
 seen = {}
 def recorded(name, fn):
     def call(*args):
@@ -399,35 +415,75 @@ print(json.dumps({"rc": rc, "seen": seen, "after": blas_threads()}))
 """
 
 
+@pytest.fixture(scope="module")
+def fresh_counts():
+    """The thread counts of a fresh interpreter that has loaded both OpenBLAS and run nothing."""
+    return run_fresh(inspect.getsource(blas_threads) + "import json\nfrom rabichain import blas\n"
+                     "blas.lapack()\nprint(json.dumps(blas_threads()))\n")
+
+
 @needs_openblas
-def test_validate_caps_every_openblas_in_a_fresh_interpreter():
+def test_validate_caps_every_openblas_in_a_fresh_interpreter(fresh_counts):
     run = run_fresh(inspect.getsource(blas_threads) + FRESH_BLAS, "validate")
     assert run["rc"] == 0
-    assert run["seen"]["validate"] == {lib: 1 for lib in run["after"]}
+    assert run["seen"]["validate"] == {lib: 1 for lib in fresh_counts}
+    assert run["after"] == fresh_counts
 
 
 @needs_openblas
-def test_sweep_caps_every_openblas_in_a_fresh_interpreter(config_path, tmp_path):
+def test_sweep_caps_every_openblas_in_a_fresh_interpreter(config_path, tmp_path, fresh_counts):
     run = run_fresh(inspect.getsource(blas_threads) + FRESH_BLAS,
                     "sweep", "--config", config_path, "--out", tmp_path / "out",
                     "--omega0-list=-0.04,0,0.04", "--jobs", "2")
     assert run["rc"] == 0
-    assert run["seen"]["sweep"] == {lib: 1 for lib in run["after"]}
+    assert run["seen"]["sweep"] == {lib: 1 for lib in fresh_counts}
+    assert run["after"] == fresh_counts
 
 
 @needs_openblas
 @pytest.mark.parametrize("outputs", ["timeseries, intensity_map", "timeseries"])
-def test_simulate_caps_every_openblas_while_it_writes_a_map(tmp_path, outputs):
-    # the writer thread formats the map on one CPU, BLAS gets the others; with no map BLAS
-    # keeps the default
+def test_simulate_runs_every_openblas_at_one_thread(tmp_path, outputs, fresh_counts):
+    # with a map or without, whatever the CPU count: the writer thread is the parallelism
     cfg = tmp_path / "run.cfg"
     cfg.write_text(DSC_CONFIG + f"\n[output]\noutputs = {outputs}\n")
     run = run_fresh(inspect.getsource(blas_threads) + FRESH_BLAS,
                     "simulate", "--config", cfg, "--out", tmp_path / "out")
     assert run["rc"] == 0
-    cap = max(1, len(os.sched_getaffinity(0)) - 1) if "intensity_map" in outputs else None
-    assert run["seen"]["simulate"] == {lib: min(count, cap or count)
-                                       for lib, count in run["after"].items()}
+    assert run["seen"]["simulate"] == {lib: 1 for lib in fresh_counts}
+    assert run["after"] == fresh_counts
+
+
+def set_blas_threads(n):
+    """Set every listed OpenBLAS to n threads; the counts they then read, by library path."""
+    for handle in blas.openblas_libraries():
+        for get, set_ in blas._OPENBLAS_THREADS:
+            if hasattr(handle, get) and hasattr(handle, set_):
+                setter = getattr(handle, set_)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(n)
+                break
+    return blas_threads()
+
+
+@needs_openblas
+def test_simulate_files_do_not_depend_on_the_cpu_count_or_the_blas_threads(tmp_path, monkeypatch):
+    # a map over two blocks at n_trunc 300: evolved at 2 BLAS threads, 1,436 of its 2,049
+    # rows differed from the 1-thread run's in the last bit
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG.replace("g = 0.15", "g = 0.4").replace("n_trunc = 64", "n_trunc = 300")
+                   .replace("t_max = 60", "t_max = 204.8"))
+    files = ["timeseries.tsv", "intensity_map.tsv", "intensity_map.pgm"]
+    before = blas_threads()
+    with blas.one_thread():   # the reference run's count; the old counts are back after the test
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "one"), "--image"]) == 0
+        if set_blas_threads(2) != {lib: 2 for lib in before}:
+            pytest.skip("an OpenBLAS here cannot be set to 2 threads")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))   # 4 CPUs
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "two"), "--image"]) == 0
+        assert blas_threads() == {lib: 2 for lib in before}
+    assert blas_threads() == before
+    for name in files:
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
 
 def test_design_writes_recipe_and_report(config_path, tmp_path):

@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabichain import blas, cli, dynamics
+from rabichain import blas, dynamics
 from rabichain.dynamics import (
     DimensionMismatchError,
     EigendecompositionError,
@@ -416,7 +416,7 @@ def test_restricted_propagation_is_bit_identical_to_the_full_product(
     # blocks, the second with the 1-point tail.  At one BLAS thread: with more, gemv splits its
     # rows by the length of the call, so P_r and <n> of a block can differ in the last bit from
     # the whole-grid product (dynamics docstring).
-    with cli._blas_threads(1):
+    with blas.one_thread():
         for points in (61, 1025, 1026, 1087, 1088, 2049):
             traj = run_trajectory(params, initial, (points - 1) * 0.1, 0.1)
             assert traj.t_grid.shape[0] == points
@@ -451,7 +451,7 @@ def test_inner_dimension_cuts_at_panels_only_on_a_checked_core(live_end, n, inne
 def test_an_unchecked_core_takes_the_full_product_with_the_same_bits(monkeypatch, core):
     n = 1024
     params, e0 = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=n), FullState.basis_state("e", 0, n)
-    with cli._blas_threads(1):
+    with blas.one_thread():
         cut = run_trajectory(params, e0, 120.0, 0.1)   # on the running core: K' 256 on SkylakeX
         monkeypatch.setattr(blas, "numpy_core", lambda: core)
         assert largest_reach(params, e0) == (256, n)
