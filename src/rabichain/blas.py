@@ -4,7 +4,10 @@ import ctypes   # numpy has imported it already
 from contextlib import contextmanager
 from functools import cache
 
+from numpy.linalg import LinAlgError
+
 _MAPS = "/proc/self/maps"
+_ROUTINES = ("dstevd", "dsyevr", "dsyevr_lwork")   # every routine the package calls
 
 _OPENBLAS_THREADS = [   # (get, set) symbols: numpy's build, scipy's build, a plain build
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -67,7 +70,8 @@ def numpy_core() -> str | None:
 def lapack():
     """scipy's LAPACK wrapper, ``scipy.linalg._flapack``, loaded once and without ``scipy.linalg``.
 
-    Importing scipy.linalg would also import numpy's f2py, testing, ma and random (0.2 s).
+    Every eigensolve calls it, through :func:`checked`; importing scipy.linalg
+    would also import numpy's f2py, testing, ma and random (0.2 s).
     """
     import scipy   # 12 ms; on Windows its _distributor_init lets the bundled DLLs be found
     from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -77,6 +81,17 @@ def lapack():
     finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
     if (spec := finder.find_spec("scipy.linalg._flapack")) is not None:
         spec.loader.exec_module(module := module_from_spec(spec))
-        if hasattr(module, "dstevd"):
+        if all(hasattr(module, routine) for routine in _ROUTINES):
             return module
-    raise ImportError(f"no LAPACK wrapper _flapack with dstevd in {where} (scipy {scipy.__version__})")
+    raise ImportError(f"no LAPACK wrapper _flapack with {', '.join(_ROUTINES)} in {where} "
+                      f"(scipy {scipy.__version__})")
+
+
+def checked(routine: str, *args, **kwargs) -> list:
+    """Call ``routine`` of :func:`lapack`; its outputs but LAPACK's info, which raises unless 0."""
+    *outputs, info = getattr(lapack(), routine)(*args, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise LinAlgError(f"{routine} did not converge (LAPACK info={info})")
+    return outputs

@@ -23,17 +23,13 @@ from .output import _BLOCK_VALUES
 
 OUTPUT_KINDS = ("timeseries", "intensity_map")
 
-_MODEL_KEYS = {f.name for f in fields(RabiParams)} | {"initial", "initial_e", "initial_g"}
-_GRID_KEYS = {"t_max", "dt"}
-_OUTPUT_KEYS = {"outputs", "dir"}
-_DESIGN_KEYS = {"n_guides"} | {
-    f.name for cls in (CouplingCalibration, OpticalConstants) for f in fields(cls)
-}
 _SECTIONS = {
-    "model": _MODEL_KEYS,
-    "grid": _GRID_KEYS,
-    "output": _OUTPUT_KEYS,
-    "design": _DESIGN_KEYS,
+    "model": {f.name for f in fields(RabiParams)} | {"initial", "initial_e", "initial_g"},
+    "grid": {"t_max", "dt"},
+    "output": {"outputs", "dir"},
+    "design": {"n_guides"} | {
+        f.name for cls in (CouplingCalibration, OpticalConstants) for f in fields(cls)
+    },
 }
 
 
@@ -242,16 +238,13 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"grid.{key}: must be > 0, got {value}")
 
     out = dict(parser["output"]) if parser.has_section("output") else {}
-    if "outputs" in out:
-        kinds = [s.strip() for s in out["outputs"].split(",") if s.strip()]
-        for kind in kinds:
-            if kind not in OUTPUT_KINDS:
-                raise ConfigError(
-                    f"output.outputs: unknown kind {kind!r}, expected one of {OUTPUT_KINDS}"
-                )
-        outputs = frozenset(kinds)
-    else:
-        outputs = frozenset(OUTPUT_KINDS)
+    kinds = [s.strip() for s in out.get("outputs", ",".join(OUTPUT_KINDS)).split(",") if s.strip()]
+    for kind in kinds:
+        if kind not in OUTPUT_KINDS:
+            raise ConfigError(
+                f"output.outputs: unknown kind {kind!r}, expected one of {OUTPUT_KINDS}"
+            )
+    outputs = frozenset(kinds)
     output_dir = Path(out.get("dir", "out"))
 
     design = None

@@ -64,15 +64,15 @@ a core in PANEL_CORES, read at the first evolution (``blas.numpy_core``).
 A dense diagonalization of the untransformed two-branch Hamiltonian serves
 as an independent cross-check and is used only in tests and the validation
 suite.  It mirrors the production path: :func:`full_rabi_amplitudes` runs
-one ``eigh`` per model and evolves over a whole time grid, and
+one dense eigensolve per model and evolves over a whole time grid, and
 :func:`full_rabi_reference` is that function on the one-point grid {t}.
 
 scipy is loaded where its solvers are called, so importing this module (and
-the package) loads no scipy.  :func:`eigh_tridiagonal` calls dstevd from
-scipy's LAPACK wrapper alone (``blas.lapack``), which ``blas.one_thread``
-loads before it sets the BLAS threads, so ``simulate``, ``sweep`` and
-``validate`` load it when they start; only the dense oracle, run by
-``validate`` and the tests, imports scipy.linalg.
+the package) loads no scipy.  Every eigensolve calls scipy's LAPACK wrapper
+alone (``blas.checked``): dstevd for the chains, and for the dense oracle
+dsyevr as ``scipy.linalg.eigh`` calls it.  ``blas.one_thread`` loads the
+wrapper before it sets the BLAS threads, so ``simulate``, ``sweep`` and
+``validate`` load it when they start; no command imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -106,11 +106,7 @@ def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray,
     """All eigenpairs, ascending: LAPACK dstevd, called and checked as scipy's eigh_tridiagonal does."""
     if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise ValueError("array must not contain infs or NaNs")
-    evals, evecs, info = blas.lapack().dstevd(diag, offdiag, compute_v=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal dstevd")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
+    evals, evecs = blas.checked("dstevd", diag, offdiag, compute_v=True)
     return evals, evecs
 
 
@@ -235,6 +231,13 @@ def _chain_evolution(h: ChainHamiltonian, coeffs: np.ndarray):
     return evolve
 
 
+def _check_sites(params: RabiParams, initial: FullState) -> None:
+    if initial.n_trunc != params.n_trunc:
+        raise DimensionMismatchError(
+            f"initial state has {initial.n_trunc} sites, params.n_trunc={params.n_trunc}"
+        )
+
+
 def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
     """An iterator of (cols, amps) for each block ``cols`` of ``t_grid``, in order.
 
@@ -245,10 +248,7 @@ def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
     and not at the first block; each eigenbasis is freed before the next
     chain is built.
     """
-    if initial.n_trunc != params.n_trunc:
-        raise DimensionMismatchError(
-            f"initial state has {initial.n_trunc} sites, params.n_trunc={params.n_trunc}"
-        )
+    _check_sites(params, initial)
     chains = {}
     for part in decompose(initial):
         if part.weight != 0.0:
@@ -331,8 +331,7 @@ def observables(amp_e: np.ndarray, amp_g: np.ndarray, initial: FullState):
     pop_e = np.abs(amp_e) ** 2
     pop = pop_e + np.abs(amp_g) ** 2
     p_e = np.sum(pop_e, axis=0)
-    overlap = (np.conj(amp_e).T @ initial.amp_e[:m]
-               + np.conj(amp_g).T @ initial.amp_g[:m])
+    overlap = initial.amp_e[:m].conj() @ amp_e + initial.amp_g[:m].conj() @ amp_g
     p_r = np.abs(overlap) ** 2
     mean_n = pop.T @ np.arange(m, dtype=float)
     return pop, p_e, p_r, mean_n
@@ -425,16 +424,14 @@ def full_rabi_amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndar
             f"the dense oracle supports n_trunc <= {FULL_RABI_MAX_TRUNC} "
             f"(got {params.n_trunc}); the dense solve is O((2 n_trunc)^3)"
         )
-    if initial.n_trunc != params.n_trunc:
-        raise DimensionMismatchError(
-            f"initial state has {initial.n_trunc} sites, params.n_trunc={params.n_trunc}"
-        )
+    _check_sites(params, initial)
     psi0 = np.empty(2 * params.n_trunc, dtype=complex)
     psi0[0::2] = initial.amp_g
     psi0[1::2] = initial.amp_e
-    from scipy.linalg import eigh
-
-    evals, evecs = eigh(full_rabi_matrix(params))
+    # dsyevr as scipy.linalg.eigh calls it: its queried workspace, not the default, keeps eigh's bits
+    work, iwork = blas.checked("dsyevr_lwork", 2 * params.n_trunc, lower=1)
+    evals, evecs, *_ = blas.checked("dsyevr", full_rabi_matrix(params), lower=1, lwork=int(work),
+                                    liwork=iwork)
     psi_t = evecs @ (np.exp(-1j * np.outer(evals, t_grid)) * (evecs.T @ psi0)[:, None])
     return psi_t[1::2], psi_t[0::2]
 

@@ -10,7 +10,7 @@ analytic ones (closed-form agreement with numerics, weak-coupling limit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,13 +99,12 @@ def check_energy_conservation() -> PropertyResult:
         RabiParams(omega0=0.1, omega=0.3, g=0.2, n_trunc=32),
     ):
         state = _random_state(rng, params.n_trunc)
-        chains = {h.chain: h for h in (build_chain(params, ParityChain.C), build_chain(params, ParityChain.F))}
-        scale = max(float(np.abs(h.eigenvalues).max()) for h in chains.values())
+        chains = [build_chain(params, chain) for chain in ParityChain]   # C, F, as decompose
+        scale = max(float(np.abs(h.eigenvalues).max()) for h in chains)
         energies = []
         for t in np.linspace(0.0, 120.0, 25):
-            evolved = chain_reference_state(params, state, float(t))
-            c, f = decompose(evolved)
-            energies.append(chains[ParityChain.C].energy(c.amp) + chains[ParityChain.F].energy(f.amp))
+            parts = decompose(chain_reference_state(params, state, float(t)))
+            energies.append(sum(h.energy(part.amp) for h, part in zip(chains, parts)))
         energies = np.array(energies)
         worst = max(worst, float(np.abs(energies - energies[0]).max() / scale))
     return PropertyResult("energy conservation", worst < 1e-9, f"max relative drift = {worst:.3e}")
@@ -152,14 +151,10 @@ def check_sign_symmetry() -> PropertyResult:
 def check_truncation_convergence() -> PropertyResult:
     """Doubling n_trunc 32 -> 64 leaves observables unchanged at the reference parameters."""
     t_max = 2.0 * 2.0 * math.pi / DSC_PARAMS.omega
-    devs = []
-    trajs = []
-    for n in (32, 64):
-        params = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=n)
-        trajs.append(run_trajectory(params, FullState.basis_state("e", 0, n), t_max, 0.05))
-    for attr in ("p_e", "p_r", "mean_n"):
-        devs.append(float(np.abs(getattr(trajs[0], attr) - getattr(trajs[1], attr)).max()))
-    worst = max(devs)
+    small, large = (run_trajectory(replace(DSC_PARAMS, n_trunc=n), FullState.basis_state("e", 0, n),
+                                   t_max, 0.05) for n in (32, 64))
+    worst = max(float(np.abs(getattr(small, attr) - getattr(large, attr)).max())
+                for attr in ("p_e", "p_r", "mean_n"))
     return PropertyResult("truncation convergence 32 -> 64", worst < 1e-6, f"sup-norm change = {worst:.3e}")
 
 

@@ -380,18 +380,19 @@ def test_import_and_design_load_no_scipy(config_path, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--omega0-list=-0.04,0,0.04",
-                                                   "--jobs", "2"]])
-def test_simulate_and_sweep_load_no_scipy_linalg(config_path, tmp_path, command):
-    # the chains are solved through scipy's LAPACK wrapper alone (blas.lapack)
+                                                   "--jobs", "2"], ["validate"]])
+def test_solving_commands_load_no_scipy_linalg(config_path, tmp_path, command):
+    # the chains and the dense oracle are solved through scipy's LAPACK wrapper alone (blas.lapack)
+    files = [] if command == ["validate"] else ["--config", config_path, "--out", tmp_path / "out"]
     loaded = run_fresh(
         "import json, sys\n"
         "import rabichain.cli\n"
         "rc = rabichain.cli.main(sys.argv[1:])\n"
         "print(json.dumps([rc, 'scipy.linalg' in sys.modules]))\n",
-        *command, "--config", config_path, "--out", tmp_path / "out",
+        *command, *files,
     )
     assert loaded == [0, False]
-    assert any((tmp_path / "out").iterdir())
+    assert not files or any((tmp_path / "out").iterdir())
 
 
 # Records the thread counts once the command's solves have run, still inside

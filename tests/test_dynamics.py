@@ -151,10 +151,17 @@ def test_eigensolve_refuses_a_non_finite_entry(where, bad):
 
 
 def failing_lapack(info):
-    """A stand-in for blas.lapack whose dstevd returns LAPACK's ``info``."""
+    """A stand-in for blas.lapack whose dstevd and dsyevr return LAPACK's ``info``."""
     def dstevd(diag, offdiag, compute_v):
         return diag.copy(), np.eye(diag.shape[0], order="F"), info
-    return lambda: SimpleNamespace(dstevd=dstevd)
+
+    def dsyevr_lwork(n, lower):
+        return 26.0 * n, 10 * n, 0
+
+    def dsyevr(a, lower, lwork, liwork):
+        n = a.shape[0]
+        return np.diag(a).copy(), np.eye(n, order="F"), n, np.zeros(2 * n, dtype=np.int32), info
+    return lambda: SimpleNamespace(dstevd=dstevd, dsyevr_lwork=dsyevr_lwork, dsyevr=dsyevr)
 
 
 @pytest.mark.parametrize("info, error, message", [
@@ -165,6 +172,8 @@ def test_eigensolve_raises_on_a_lapack_error(monkeypatch, info, error, message):
     monkeypatch.setattr(blas, "lapack", failing_lapack(info))
     with pytest.raises(error, match=message):
         dynamics.eigh_tridiagonal(*chain_matrix(16, 0.3, 0.04, ParityChain.C))
+    with pytest.raises(error, match=message.replace("dstevd", "dsyevr")):   # the dense oracle
+        full_rabi_reference(DSC, FullState.basis_state("e", 0, 64), 1.0)
 
 
 def test_missing_lapack_wrapper_is_an_import_error(monkeypatch, tmp_path):
@@ -610,6 +619,22 @@ def test_mean_photon_number_at_half_period():
     assert mean_photon_number(state) == pytest.approx(1.7013232514, abs=1e-8)
 
 
+@pytest.mark.parametrize("n_trunc, points", [(96, 1), (96, 1024), (300, 1024), (1024, 1), (1024, 1024)])
+def test_revival_probability_keeps_the_bits_of_the_copied_overlap(n_trunc, points):
+    # |<state|initial>|^2 through a conjugated copy of the block: observables takes the
+    # conjugate overlap <initial|state> without the copy, and |z|^2 must keep every bit
+    p = RabiParams(omega0=0.1, omega=0.23, g=0.3, n_trunc=n_trunc)
+    initial = random_full_state(np.random.default_rng(n_trunc), n_trunc)
+    [(_, (amp_e, amp_g))] = dynamics._amplitudes(p, initial, 0.1 * np.arange(points) + 3.0)
+    cases = [(amp_e, amp_g)]
+    if points == 1:   # the block and the one state it holds
+        cases.append((amp_e[:, 0], amp_g[:, 0]))
+    for a_e, a_g in cases:
+        m = a_e.shape[0]
+        copied = np.conj(a_e).T @ initial.amp_e[:m] + np.conj(a_g).T @ initial.amp_g[:m]
+        assert observables(a_e, a_g, initial)[2].tobytes() == (np.abs(copied) ** 2).tobytes()
+
+
 def test_photon_distribution_sums_to_one():
     rng = np.random.default_rng(3)
     s = random_full_state(rng, 24)
@@ -668,6 +693,22 @@ def test_full_rabi_refuses_oversized_problems():
         full_rabi_reference(p, FullState.basis_state("e", 0, 300), 1.0)
     with pytest.raises(ValueError, match="256"):
         full_rabi_amplitudes(p, FullState.basis_state("e", 0, 300), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("n_trunc", [2, 32, 64, 256])
+def test_dense_oracle_is_bit_identical_to_scipy_eigh(n_trunc):
+    # dsyevr with the workspace scipy.linalg.eigh queries: every bit of the evolution agrees
+    initial = random_full_state(np.random.default_rng(n_trunc), n_trunc)
+    psi0 = np.empty(2 * n_trunc, dtype=complex)
+    psi0[0::2], psi0[1::2] = initial.amp_g, initial.amp_e
+    times = np.array([0.0, 1.3, 27.3, 250.0])
+    for omega0, g in itertools.product([0.0, 0.04, 0.3], [0.05, 0.3, 2.0]):
+        p = RabiParams(omega0=omega0, omega=0.23, g=g, n_trunc=n_trunc)
+        evals, evecs = scipy.linalg.eigh(full_rabi_matrix(p))
+        psi_t = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.T @ psi0)[:, None])
+        amp_e, amp_g = full_rabi_amplitudes(p, initial, times)
+        assert amp_e.tobytes() == psi_t[1::2].tobytes(), (omega0, g)
+        assert amp_g.tobytes() == psi_t[0::2].tobytes(), (omega0, g)
 
 
 @pytest.mark.parametrize("seed", range(4))
