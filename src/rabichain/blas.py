@@ -37,7 +37,10 @@ def one_thread():
 
     scipy's LAPACK wrapper is loaded first, so that its OpenBLAS is mapped
     and set too.  Nothing happens where :func:`openblas_libraries` finds no
-    OpenBLAS.
+    OpenBLAS.  Lowering the count stops no worker: the pool an OpenBLAS
+    started when it loaded stays and spins.  So the CLI, when it is the
+    program, loads both at one thread instead (``rabichain.cli``); this
+    holds in-process callers that loaded numpy first to one thread.
     """
     lapack()
     restore = []

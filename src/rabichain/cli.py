@@ -9,13 +9,21 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
+# OpenBLAS sizes its worker pool when it loads, and every worker it starts
+# spins while idle, a quarter of a short run's CPU time.  Where the CLI is the
+# program, numpy's and scipy's OpenBLAS load at one thread and start none; a
+# process that loaded numpy first keeps its environment and its pools.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (loads numpy's OpenBLAS)
 
 from .blas import one_thread
 from .config import ConfigError, RunConfig, check_memory, load_config
@@ -130,9 +138,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
                 written.result()   # one block in flight; a failed write raises here
             written = writer.submit(write, *block)
             del block, pop   # the writer holds the block now, and frees it when it is written
+        # the raster is built while the writer formats the last block
+        raster = intensity_map_pgm(reached, n) if image else None
+        del reached
         written.result()
         if image:
-            write_bytes(out_dir / "intensity_map.pgm", intensity_map_pgm(reached, n))
+            write_bytes(out_dir / "intensity_map.pgm", raster)
     if top > TRUNCATION_OCCUPANCY:
         print(f"note: truncation-contaminated run, top-site occupancy {top:.3e}", file=sys.stderr)
     return EXIT_OK
@@ -236,11 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its exit code.
+
+    The commands that solve run every OpenBLAS at one thread (``blas.one_thread``),
+    so their output bytes depend on neither the CPU count nor OPENBLAS_NUM_THREADS;
+    the sweep pool and simulate's writer thread are their parallelism.  Where this
+    module was imported before numpy, the OpenBLAS loaded at one thread already
+    and started no worker; one_thread holds any other caller to one thread and
+    restores its counts after.  design solves nothing and loads no scipy.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The commands that solve run every OpenBLAS at one thread, so their output bytes depend
-    # on neither the CPU count nor OPENBLAS_NUM_THREADS; the sweep pool and simulate's writer
-    # thread are their parallelism.  design solves nothing and loads no scipy
     with nullcontext() if args.command == "design" else one_thread():
         try:
             if args.command == "validate":

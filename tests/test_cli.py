@@ -353,17 +353,86 @@ def test_openblas_is_found_under_a_path_with_spaces(tmp_path, monkeypatch):
     assert blas.numpy_core.__wrapped__() == core
 
 
-def run_fresh(script, *args):
+# the variables OpenBLAS reads its thread count from when it loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(script, *args, env=None):
     """Run ``script`` in a new interpreter on this rabichain; its last stdout line, as JSON.
 
     pytest has imported scipy here already: what a command loads, and when,
-    shows only in a fresh process.
+    shows only in a fresh process.  The child sees none of the shell's
+    BLAS_THREAD_VARIABLES, so its OpenBLAS start at their default count;
+    ``env`` adds variables.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env = {**{k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES},
+           "PYTHONPATH": str(Path(cli.__file__).parents[1]), **(env or {})}
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_rabichain_loads_no_numpy():
+    loaded = run_fresh("import json, sys, rabichain\n"
+                       "print(json.dumps(['numpy' in sys.modules, rabichain.__version__]))\n")
+    assert loaded == [False, "0.1.0"]
+
+
+def test_package_names_load_their_module_on_first_use():
+    import rabichain
+
+    assert (rabichain.RabiParams, rabichain.FullState) == (RabiParams, FullState)
+    assert (rabichain.lf_period, rabichain.lf_revival) == (analytic.lf_period, analytic.lf_revival)
+    assert rabichain.run_trajectory is dynamics.run_trajectory
+    assert set(rabichain.__all__) <= set(dir(rabichain))
+    with pytest.raises(AttributeError, match="no attribute 'observables'"):
+        rabichain.observables
+
+
+# Imports the CLI first, as `python -m rabichain.cli` and the console script do, and
+# loads scipy's OpenBLAS too; then runs the command and counts this process's threads.
+# A joined Python thread may take a moment to leave /proc; an OpenBLAS worker never does.
+FRESH_CLI = """
+import json, os, sys, time
+import rabichain.cli
+from rabichain import blas
+blas.lapack()
+loaded = blas_threads()
+rc = rabichain.cli.main(sys.argv[1:])
+deadline = time.monotonic() + 5
+while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+    time.sleep(0.01)
+print(json.dumps({"rc": rc, "loaded": loaded, "after": blas_threads(),
+                  "threads": len(os.listdir("/proc/self/task"))}))
+"""
+
+
+@needs_openblas
+@pytest.mark.parametrize("command", [
+    ["simulate", "--image"], ["sweep", "--omega0-list=-0.04,0,0.04", "--jobs", "2"],
+    ["validate"], ["design"],
+])
+def test_the_cli_loads_every_openblas_at_one_thread(config_path, tmp_path, fresh_counts, command):
+    # OPENBLAS_NUM_THREADS=2 asks for a worker per library; the CLI, imported first, starts none
+    files = [] if command == ["validate"] else ["--config", config_path, "--out", tmp_path / "out"]
+    run = run_fresh(inspect.getsource(blas_threads) + FRESH_CLI, *command, *files,
+                    env={"OPENBLAS_NUM_THREADS": "2"})
+    assert run["rc"] == 0
+    assert run["loaded"] == {lib: 1 for lib in fresh_counts}
+    assert run["after"] == run["loaded"]
+    assert run["threads"] == 1
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_importing_the_cli_after_numpy_leaves_the_environment(threads):
+    env = run_fresh("import json, os, numpy\n"
+                    "before = dict(os.environ)\n"
+                    "import rabichain.cli\n"
+                    "print(json.dumps([before == dict(os.environ),"
+                    " os.environ.get('OPENBLAS_NUM_THREADS')]))\n",
+                    env=None if threads is None else {"OPENBLAS_NUM_THREADS": threads})
+    assert env == [True, threads]
 
 
 def test_import_and_design_load_no_scipy(config_path, tmp_path):
@@ -397,6 +466,7 @@ def test_solving_commands_load_no_scipy_linalg(config_path, tmp_path, command):
 
 # Records the thread counts once the command's solves have run, still inside
 # its cap: scipy's OpenBLAS is mapped by then, even if the command loaded it late.
+# blas, imported before cli, loads numpy: the OpenBLAS keep their default counts.
 FRESH_BLAS = """
 import json, sys
 from rabichain import blas, cli
