@@ -1,13 +1,14 @@
-"""The OpenBLAS libraries loaded, as /proc/self/maps lists them, and scipy's LAPACK wrapper."""
+"""The OpenBLAS libraries /proc/self/maps lists, and numpy's LAPACK, called without the GIL."""
 
 import ctypes   # numpy has imported it already
 from contextlib import contextmanager
 from functools import cache
 
+import numpy as np
 from numpy.linalg import LinAlgError
 
 _MAPS = "/proc/self/maps"
-_ROUTINES = ("dstevd", "dsyevr", "dsyevr_lwork")   # every routine the package calls
+_ROUTINES = {"dstevd": (11, 1), "dsyevr": (21, 3)}   # arguments with INFO; CHARACTER*1 of them
 
 _OPENBLAS_THREADS = [   # (get, set) symbols: numpy's build, scipy's build, a plain build
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -35,14 +36,12 @@ def openblas_libraries():
 def one_thread():
     """Run every loaded OpenBLAS at one thread for the block, and restore the old counts after it.
 
-    scipy's LAPACK wrapper is loaded first, so that its OpenBLAS is mapped
-    and set too.  Nothing happens where :func:`openblas_libraries` finds no
-    OpenBLAS.  Lowering the count stops no worker: the pool an OpenBLAS
-    started when it loaded stays and spins.  So the CLI, when it is the
-    program, loads both at one thread instead (``rabichain.cli``); this
-    holds in-process callers that loaded numpy first to one thread.
+    That is numpy's, and scipy's where the host imported scipy; nothing
+    happens where :func:`openblas_libraries` finds none.  Lowering the count
+    stops no worker: the pool an OpenBLAS started when it loaded stays and
+    spins, so the CLI, as the program, loads numpy's at one thread instead
+    (``rabichain.cli``); this holds callers that loaded numpy first.
     """
-    lapack()
     restore = []
     for handle in openblas_libraries():
         for get, set_ in _OPENBLAS_THREADS:
@@ -70,31 +69,51 @@ def numpy_core() -> str | None:
 
 
 @cache
-def lapack():
-    """scipy's LAPACK wrapper, ``scipy.linalg._flapack``, loaded once and without ``scipy.linalg``.
-
-    Every eigensolve calls it, through :func:`checked`; importing scipy.linalg
-    would also import numpy's f2py, testing, ma and random (0.2 s).
-    """
-    import scipy   # 12 ms; on Windows its _distributor_init lets the bundled DLLs be found
-    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-    from importlib.util import module_from_spec
-
-    where = scipy.__path__[0] + "/linalg"
-    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    if (spec := finder.find_spec("scipy.linalg._flapack")) is not None:
-        spec.loader.exec_module(module := module_from_spec(spec))
-        if all(hasattr(module, routine) for routine in _ROUTINES):
-            return module
-    raise ImportError(f"no LAPACK wrapper _flapack with {', '.join(_ROUTINES)} in {where} "
-                      f"(scipy {scipy.__version__})")
+def _lapack() -> ctypes.CDLL:
+    """numpy's OpenBLAS, with ``_ROUTINES`` declared: PyPI's numpy >= 2 bundles scipy-openblas64 (ILP64)."""
+    symbols = {f"scipy_{routine}_64_": counts for routine, counts in _ROUTINES.items()}
+    for handle in openblas_libraries():
+        if all(hasattr(handle, symbol) for symbol in symbols):
+            for symbol, (args, chars) in symbols.items():   # pointers, then gfortran's hidden lengths
+                getattr(handle, symbol).argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * chars
+                getattr(handle, symbol).restype = None
+            return handle
+    raise ImportError(f"numpy's OpenBLAS exports no {' and no '.join(symbols)} "
+                      f"(numpy {np.__version__}; OpenBLAS found through {_MAPS})")
 
 
-def checked(routine: str, *args, **kwargs) -> list:
-    """Call ``routine`` of :func:`lapack`; its outputs but LAPACK's info, which raises unless 0."""
-    *outputs, info = getattr(lapack(), routine)(*args, **kwargs)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
-    if info > 0:
-        raise LinAlgError(f"{routine} did not converge (LAPACK info={info})")
-    return outputs
+def _call(routine: str, *args) -> None:
+    """Call LAPACK's ``routine`` (bytes as CHARACTER*1, arrays by pointer); its info raises unless 0."""
+    info = ctypes.c_int64()
+    refs = [a if isinstance(a, bytes) else a.ctypes.data if isinstance(a, np.ndarray)
+            else ctypes.byref((ctypes.c_double if isinstance(a, float) else ctypes.c_int64)(a)) for a in args]
+    getattr(_lapack(), f"scipy_{routine}_64_")(*refs, ctypes.byref(info), *[1] * _ROUTINES[routine][1])
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of internal {routine}")
+    if info.value > 0:
+        raise LinAlgError(f"{routine} did not converge (LAPACK info={info.value})")
+
+
+def dstevd(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of a symmetric tridiagonal matrix, ascending; the eigenvectors in Fortran order."""
+    d, e = np.array(diag, dtype=float), np.array(offdiag, dtype=float)   # both are overwritten
+    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+        raise ValueError(f"dstevd needs n diagonal and n - 1 off-diagonal entries, got {d.shape}, {e.shape}")
+    n, z = d.size, np.empty((d.size, d.size), order="F")
+    work, iwork = np.empty(1 + 4 * n + n * n), np.empty(3 + 5 * n, dtype=np.int64)   # scipy's sizes
+    _call("dstevd", b"V", n, d, e, z, n, work, work.size, iwork, iwork.size)
+    return d, z
+
+
+def dsyevr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of the symmetric ``a`` as ``scipy.linalg.eigh`` finds them, from its lower triangle."""
+    n, a = a.shape[0], np.array(a, dtype=float, order="F")   # dsyevr overwrites a
+    if a.shape != (n, n):
+        raise ValueError(f"dsyevr needs a square matrix, got shape {a.shape}")
+    w, z, isuppz = np.empty(n), np.empty((n, n), order="F"), np.empty(2 * n, dtype=np.int64)
+    head = (b"V", b"A", b"L", n, a, n, 0.0, 1.0, 1, n, 0.0, n, w, z, n, isuppz)
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    _call("dsyevr", *head, work, -1, iwork, -1)   # eigh's workspace query: it sets dsytrd's blocking
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    _call("dsyevr", *head, work, work.size, iwork, iwork.size)
+    return w, z

@@ -12,14 +12,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
 # OpenBLAS sizes its worker pool when it loads, and every worker it starts
 # spins while idle, a quarter of a short run's CPU time.  Where the CLI is the
-# program, numpy's and scipy's OpenBLAS load at one thread and start none; a
-# process that loaded numpy first keeps its environment and its pools.
+# program, numpy's OpenBLAS loads at one thread and starts none; a process
+# that loaded numpy first keeps its environment and its pools.
 if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -249,16 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; its exit code.
 
-    The commands that solve run every OpenBLAS at one thread (``blas.one_thread``),
-    so their output bytes depend on neither the CPU count nor OPENBLAS_NUM_THREADS;
-    the sweep pool and simulate's writer thread are their parallelism.  Where this
-    module was imported before numpy, the OpenBLAS loaded at one thread already
-    and started no worker; one_thread holds any other caller to one thread and
-    restores its counts after.  design solves nothing and loads no scipy.
+    Every command runs every OpenBLAS at one thread (``blas.one_thread``), so the
+    output bytes depend on neither the CPU count nor OPENBLAS_NUM_THREADS; the
+    sweep pool, whose eigensolves release the GIL, and simulate's writer thread
+    are the parallelism.  Where this module was imported before numpy, numpy's
+    OpenBLAS loaded at one thread and started no worker; one_thread holds any
+    other caller to one thread and restores its counts after.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    with nullcontext() if args.command == "design" else one_thread():
+    with one_thread():
         try:
             if args.command == "validate":
                 return cmd_validate()

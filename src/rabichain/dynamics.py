@@ -48,8 +48,8 @@ the whole-grid call did, and merging a short tail keeps the last rows out
 of a tiny call: a 2-point last block changed cells of <n>.  At one BLAS
 thread every array so equals the whole-grid result; the CLI runs every
 command that solves at one thread (``blas.one_thread``), and when it is
-the program it loads numpy's and scipy's OpenBLAS at one thread, so they
-start no worker (``rabichain.cli``).  A caller that
+the program it loads numpy's OpenBLAS at one thread, so it starts no
+worker (``rabichain.cli``).  A caller that
 runs BLAS at more threads can see last-bit differences in every array,
 P(n) included, between thread counts: the products split their work
 between the threads (2 threads changed 1,436 of the 2,049 rows of the
@@ -69,18 +69,15 @@ suite.  It mirrors the production path: :func:`full_rabi_amplitudes` runs
 one dense eigensolve per model and evolves over a whole time grid, and
 :func:`full_rabi_reference` is that function on the one-point grid {t}.
 
-scipy is loaded where its solvers are called, so importing this module (and
-the package) loads no scipy.  Every eigensolve calls scipy's LAPACK wrapper
-alone (``blas.checked``): dstevd for the chains, and for the dense oracle
-dsyevr as ``scipy.linalg.eigh`` calls it.  ``blas.one_thread`` loads the
-wrapper before it sets the BLAS threads, so ``simulate``, ``sweep`` and
-``validate`` load it when they start; no command imports scipy.linalg.
+Every eigensolve calls LAPACK in numpy's OpenBLAS (``blas``), with scipy's
+bits: dstevd for the chains, dsyevr for the dense oracle.  Each call
+releases the GIL, so the sweep pool's eigensolves overlap; no scipy loads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,8 +105,7 @@ def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray,
     """All eigenpairs, ascending: LAPACK dstevd, called and checked as scipy's eigh_tridiagonal does."""
     if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise ValueError("array must not contain infs or NaNs")
-    evals, evecs = blas.checked("dstevd", diag, offdiag, compute_v=True)
-    return evals, evecs
+    return blas.dstevd(diag, offdiag)
 
 
 class EigendecompositionError(RuntimeError):
@@ -125,7 +121,8 @@ class ChainHamiltonian:
     """One parity chain with its cached spectral decomposition.
 
     eigenvalues are ascending; column k of ``eigenvectors`` is the k-th
-    eigenvector.  Instances are immutable and safe to share across threads.
+    eigenvector; ``residual`` and ``orthogonality`` are the figures
+    :func:`build_chain` checked.  Instances are immutable and thread-safe.
     """
 
     chain: ParityChain
@@ -133,6 +130,8 @@ class ChainHamiltonian:
     offdiag: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    residual: float = math.nan
+    orthogonality: float = math.nan
 
     @property
     def n_trunc(self) -> int:
@@ -190,7 +189,7 @@ def build_chain(params: RabiParams, chain: ParityChain) -> ChainHamiltonian:
 
     for arr in (diag, offdiag, evals, evecs):
         arr.setflags(write=False)
-    return h
+    return replace(h, residual=float(residual), orthogonality=float(ortho))
 
 
 def _grid_blocks(points: int) -> list[slice]:
@@ -430,10 +429,7 @@ def full_rabi_amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndar
     psi0 = np.empty(2 * params.n_trunc, dtype=complex)
     psi0[0::2] = initial.amp_g
     psi0[1::2] = initial.amp_e
-    # dsyevr as scipy.linalg.eigh calls it: its queried workspace, not the default, keeps eigh's bits
-    work, iwork = blas.checked("dsyevr_lwork", 2 * params.n_trunc, lower=1)
-    evals, evecs, *_ = blas.checked("dsyevr", full_rabi_matrix(params), lower=1, lwork=int(work),
-                                    liwork=iwork)
+    evals, evecs = blas.dsyevr(full_rabi_matrix(params))
     psi_t = evecs @ (np.exp(-1j * np.outer(evals, t_grid)) * (evecs.T @ psi0)[:, None])
     return psi_t[1::2], psi_t[0::2]
 

@@ -390,14 +390,13 @@ def test_package_names_load_their_module_on_first_use():
         rabichain.observables
 
 
-# Imports the CLI first, as `python -m rabichain.cli` and the console script do, and
-# loads scipy's OpenBLAS too; then runs the command and counts this process's threads.
-# A joined Python thread may take a moment to leave /proc; an OpenBLAS worker never does.
+# Imports the CLI first, as `python -m rabichain.cli` and the console script do; then
+# runs the command and counts this process's threads.  A joined Python thread may take
+# a moment to leave /proc; an OpenBLAS worker never does.
 FRESH_CLI = """
 import json, os, sys, time
 import rabichain.cli
 from rabichain import blas
-blas.lapack()
 loaded = blas_threads()
 rc = rabichain.cli.main(sys.argv[1:])
 deadline = time.monotonic() + 5
@@ -413,13 +412,14 @@ print(json.dumps({"rc": rc, "loaded": loaded, "after": blas_threads(),
     ["simulate", "--image"], ["sweep", "--omega0-list=-0.04,0,0.04", "--jobs", "2"],
     ["validate"], ["design"],
 ])
-def test_the_cli_loads_every_openblas_at_one_thread(config_path, tmp_path, fresh_counts, command):
-    # OPENBLAS_NUM_THREADS=2 asks for a worker per library; the CLI, imported first, starts none
+def test_the_cli_loads_every_openblas_at_one_thread(config_path, tmp_path, command):
+    # OPENBLAS_NUM_THREADS=2 asks for a worker; the CLI, imported first, loads numpy's OpenBLAS
+    # alone, and it starts none
     files = [] if command == ["validate"] else ["--config", config_path, "--out", tmp_path / "out"]
     run = run_fresh(inspect.getsource(blas_threads) + FRESH_CLI, *command, *files,
                     env={"OPENBLAS_NUM_THREADS": "2"})
     assert run["rc"] == 0
-    assert run["loaded"] == {lib: 1 for lib in fresh_counts}
+    assert run["loaded"] == {blas._lapack()._name: 1}
     assert run["after"] == run["loaded"]
     assert run["threads"] == 1
 
@@ -451,24 +451,56 @@ def test_import_and_design_load_no_scipy(config_path, tmp_path):
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--omega0-list=-0.04,0,0.04",
                                                    "--jobs", "2"], ["validate"]])
 def test_solving_commands_load_no_scipy_linalg(config_path, tmp_path, command):
-    # the chains and the dense oracle are solved through scipy's LAPACK wrapper alone (blas.lapack)
+    # the chains and the dense oracle are solved by the LAPACK of numpy's OpenBLAS: no scipy at all
     files = [] if command == ["validate"] else ["--config", config_path, "--out", tmp_path / "out"]
     loaded = run_fresh(
         "import json, sys\n"
         "import rabichain.cli\n"
         "rc = rabichain.cli.main(sys.argv[1:])\n"
-        "print(json.dumps([rc, 'scipy.linalg' in sys.modules]))\n",
+        "print(json.dumps([rc, 'scipy' in sys.modules]))\n",
         *command, *files,
     )
     assert loaded == [0, False]
     assert not files or any((tmp_path / "out").iterdir())
 
 
-# Records the thread counts once the command's solves have run, still inside
-# its cap: scipy's OpenBLAS is mapped by then, even if the command loaded it late.
-# blas, imported before cli, loads numpy: the OpenBLAS keep their default counts.
+# Runs each command given as JSON where scipy cannot be imported; validate's stdout is kept
+NO_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None   # every import of scipy, or of a module in it, raises ImportError
+import rabichain.cli
+rcs, stdout = [], io.StringIO()
+for command in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(stdout):
+        rcs.append(rabichain.cli.main(command))
+print(json.dumps([rcs, stdout.getvalue()]))
+"""
+
+
+def test_no_command_needs_scipy(config_path, tmp_path, capsys):
+    # simulate, sweep and validate run where scipy is missing, and write the bytes of a normal run
+    def commands(out):
+        return [["simulate", "--config", str(config_path), "--out", str(out / "simulate"), "--image"],
+                ["sweep", "--config", str(config_path), "--out", str(out / "sweep"), "--jobs", "2",
+                 "--omega0-list=-0.08,-0.04,0,0.04,0.08"],
+                ["validate"]]
+    rcs, stdout = run_fresh(NO_SCIPY, json.dumps(commands(tmp_path / "no_scipy")))
+    assert rcs == [0, 0, 0]
+    capsys.readouterr()
+    assert [main(command) for command in commands(tmp_path / "normal")] == [0, 0, 0]
+    assert stdout == capsys.readouterr().out
+    files = sorted(p.relative_to(tmp_path / "normal") for p in (tmp_path / "normal").rglob("*.*"))
+    assert len(files) == 4   # timeseries, map and raster; the sweep summary
+    for name in files:
+        assert (tmp_path / "no_scipy" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+
+
+# A host that imported scipy, and numpy with it, before rabichain: both OpenBLAS keep
+# their default counts.  Records the thread counts once the command's solves have run,
+# still inside its cap.
 FRESH_BLAS = """
 import json, sys
+import scipy.linalg
 from rabichain import blas, cli
 seen = {}
 def recorded(name, fn):
@@ -488,9 +520,9 @@ print(json.dumps({"rc": rc, "seen": seen, "after": blas_threads()}))
 
 @pytest.fixture(scope="module")
 def fresh_counts():
-    """The thread counts of a fresh interpreter that has loaded both OpenBLAS and run nothing."""
-    return run_fresh(inspect.getsource(blas_threads) + "import json\nfrom rabichain import blas\n"
-                     "blas.lapack()\nprint(json.dumps(blas_threads()))\n")
+    """The thread counts of a fresh interpreter that has imported scipy, so both OpenBLAS, and run nothing."""
+    return run_fresh(inspect.getsource(blas_threads) + "import json\nimport scipy.linalg\n"
+                     "from rabichain import blas\nprint(json.dumps(blas_threads()))\n")
 
 
 @needs_openblas
@@ -937,7 +969,7 @@ def test_eigensolve_out_of_tolerance_exits_2(config_path, tmp_path, capsys, monk
 
 
 def test_failed_eigensolve_exits_2(config_path, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(blas, "lapack", failing_lapack(1))   # dstevd did not converge
+    monkeypatch.setattr(blas, "_lapack", failing_lapack(1))   # dstevd did not converge
     rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "eigensolver failed on C-chain" in capsys.readouterr().err

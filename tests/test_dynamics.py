@@ -1,7 +1,9 @@
 """Chain Hamiltonians, spectral propagation, observables, oracle equivalence."""
 
+import ctypes
 import itertools
-import re
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from rabichain import blas, dynamics
 from rabichain.dynamics import (
+    DECOMPOSITION_TOL,
     DimensionMismatchError,
     EigendecompositionError,
     _chain_evolution,
@@ -119,6 +122,20 @@ def test_eigendecomposition_invariants():
     assert np.all(np.diff(h.eigenvalues) >= 0)
 
 
+@pytest.mark.parametrize("n_trunc, g", [(64, 0.15), (1024, 0.81)])
+def test_chain_keeps_the_quality_figures_of_its_eigensolve(n_trunc, g):
+    p = RabiParams(omega0=-0.08, omega=0.23, g=g, n_trunc=n_trunc)
+    with blas.one_thread():   # the Gram matrix's product splits its work by the thread count
+        h = build_chain(p, ParityChain.F)
+        v = h.eigenvectors
+        residual = np.abs(h.apply(v) - v * h.eigenvalues).max()
+        orthogonality = np.abs(v.T @ v - np.eye(n_trunc)).max()
+    scale = max(np.abs(h.diag).max(), np.abs(h.offdiag).max(), 1.0)
+    assert h.residual == residual <= DECOMPOSITION_TOL * scale
+    assert h.orthogonality == orthogonality <= DECOMPOSITION_TOL
+    assert 0.0 < h.residual and 0.0 < h.orthogonality   # figures, not placeholders
+
+
 def chain_matrix(n_trunc, g, omega0, chain):
     """The diagonal and off-diagonal of a chain at omega 0.23, as build_chain lays them out."""
     sites = np.arange(n_trunc, dtype=float)
@@ -127,16 +144,19 @@ def chain_matrix(n_trunc, g, omega0, chain):
 
 @pytest.mark.parametrize("n_trunc", [2, 16, 300, 1024, 2048])
 def test_eigensolve_is_bit_identical_to_scipy_eigh_tridiagonal(n_trunc):
-    # the same LAPACK dstevd through the same wrapper: every bit of both results agrees.  Every
-    # g, omega0 and sign at the small sizes; at the large ones, four of them
+    # LAPACK's dstevd in numpy's OpenBLAS and in scipy's: every bit of both results agrees at
+    # one BLAS thread, as the CLI runs (at 2, scipy's own bits differ at n_trunc 300, g 0.3).
+    # Every g, omega0 and sign at the small sizes; at the large ones, four of them
     cases = list(itertools.product([0.05, 0.3, 2.0], [0.0, 0.04, 0.3], ParityChain))
     if n_trunc > 300:
         cases = [(0.05, 0.0, ParityChain.C), (0.3, 0.04, ParityChain.F),
                  (2.0, 0.3, ParityChain.C), (2.0, 0.3, ParityChain.F)]
     for case in cases:
         diag, offdiag = chain_matrix(n_trunc, *case)
-        evals, evecs = dynamics.eigh_tridiagonal(diag, offdiag)
-        want_evals, want_evecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+        with blas.one_thread():
+            evals, evecs = dynamics.eigh_tridiagonal(diag, offdiag)
+            want_evals, want_evecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+        assert evecs.flags.f_contiguous and want_evecs.flags.f_contiguous, case
         assert evals.tobytes() == want_evals.tobytes(), case
         assert evecs.tobytes() == want_evecs.tobytes(), case
 
@@ -150,18 +170,21 @@ def test_eigensolve_refuses_a_non_finite_entry(where, bad):
         dynamics.eigh_tridiagonal(diag, offdiag)
 
 
+def test_eigensolve_refuses_mismatched_shapes():
+    # LAPACK reads n - 1 off-diagonal entries and n x n matrix entries through bare pointers:
+    # any other shape is refused first
+    for diag, offdiag in [(16, 16), (16, 14), ((4, 4), 3)]:
+        with pytest.raises(ValueError, match="n diagonal and n - 1 off-diagonal entries"):
+            dynamics.eigh_tridiagonal(np.ones(diag), np.ones(offdiag))
+    with pytest.raises(ValueError, match=r"square matrix, got shape \(4, 3\)"):
+        blas.dsyevr(np.ones((4, 3)))
+
+
 def failing_lapack(info):
-    """A stand-in for blas.lapack whose dstevd and dsyevr return LAPACK's ``info``."""
-    def dstevd(diag, offdiag, compute_v):
-        return diag.copy(), np.eye(diag.shape[0], order="F"), info
-
-    def dsyevr_lwork(n, lower):
-        return 26.0 * n, 10 * n, 0
-
-    def dsyevr(a, lower, lwork, liwork):
-        n = a.shape[0]
-        return np.diag(a).copy(), np.eye(n, order="F"), n, np.zeros(2 * n, dtype=np.int32), info
-    return lambda: SimpleNamespace(dstevd=dstevd, dsyevr_lwork=dsyevr_lwork, dsyevr=dsyevr)
+    """A stand-in for blas._lapack whose dstevd and dsyevr return LAPACK's ``info``."""
+    def routine(*args):   # INFO is the last argument passed by reference
+        next(arg for arg in reversed(args) if hasattr(arg, "_obj"))._obj.value = info
+    return lambda: SimpleNamespace(scipy_dstevd_64_=routine, scipy_dsyevr_64_=routine)
 
 
 @pytest.mark.parametrize("info, error, message", [
@@ -169,18 +192,60 @@ def failing_lapack(info):
     (-2, ValueError, "illegal value in argument 2 of internal dstevd"),
 ])
 def test_eigensolve_raises_on_a_lapack_error(monkeypatch, info, error, message):
-    monkeypatch.setattr(blas, "lapack", failing_lapack(info))
+    monkeypatch.setattr(blas, "_lapack", failing_lapack(info))
     with pytest.raises(error, match=message):
         dynamics.eigh_tridiagonal(*chain_matrix(16, 0.3, 0.04, ParityChain.C))
     with pytest.raises(error, match=message.replace("dstevd", "dsyevr")):   # the dense oracle
         full_rabi_reference(DSC, FullState.basis_state("e", 0, 64), 1.0)
 
 
-def test_missing_lapack_wrapper_is_an_import_error(monkeypatch, tmp_path):
-    # no fallback to scipy.linalg: a scipy without the wrapper file fails, naming where and which
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    with pytest.raises(ImportError, match=re.escape(f"in {tmp_path}/linalg (scipy {scipy.__version__})")):
-        blas.lapack.__wrapped__()
+def test_numpy_without_the_lapack_symbols_is_an_import_error(monkeypatch, tmp_path):
+    # no fallback: where numpy's OpenBLAS exports no ILP64 LAPACK, the first eigensolve fails,
+    # naming the symbols.  The process's other OpenBLAS (scipy's, if loaded) exports another ABI
+    numpy_lapack = blas._lapack()._name
+    with open("/proc/self/maps") as maps:
+        others = [line for line in maps if "openblas" in line.lower() and numpy_lapack not in line]
+    (tmp_path / "maps").write_text("".join(others))
+    monkeypatch.setattr(blas, "_MAPS", str(tmp_path / "maps"))
+    monkeypatch.setattr(blas, "_lapack", blas._lapack.__wrapped__)   # not the one found already
+    with pytest.raises(ImportError, match="exports no scipy_dstevd_64_ and no scipy_dsyevr_64_"):
+        dynamics.eigh_tridiagonal(*chain_matrix(16, 0.3, 0.04, ParityChain.C))
+
+
+def longest_stall_during(solve):
+    """The seconds ``solve`` takes on a worker thread, and the longest this thread's loop stalled meanwhile."""
+    took = []
+
+    def work():
+        start = time.perf_counter()
+        solve()
+        took.append(time.perf_counter() - start)
+
+    worker = threading.Thread(target=work)
+    last, stall = time.perf_counter(), 0.0
+    worker.start()
+    while worker.is_alive():
+        now = time.perf_counter()
+        stall, last = max(stall, now - last), now
+    worker.join(timeout=60)
+    assert took, "the solve failed"
+    return took[0], stall
+
+
+def test_the_eigensolve_releases_the_gil(monkeypatch):
+    # while a worker solves an n_trunc 2048 chain (about 0.1 s), Python keeps running here
+    diag, offdiag = chain_matrix(2048, 0.3, 0.04, ParityChain.C)
+    with blas.one_thread():
+        took, stall = longest_stall_during(lambda: dynamics.eigh_tridiagonal(diag, offdiag))
+        assert stall < took / 2, (stall, took)
+        # the measure sees a binding that holds the GIL: the same symbol through ctypes.PyDLL
+        held = ctypes.PyDLL(blas._lapack()._name)
+        for symbol in ("scipy_dstevd_64_", "scipy_dsyevr_64_"):
+            getattr(held, symbol).argtypes = getattr(blas._lapack(), symbol).argtypes
+            getattr(held, symbol).restype = None
+        monkeypatch.setattr(blas, "_lapack", lambda: held)
+        took, stall = longest_stall_during(lambda: dynamics.eigh_tridiagonal(diag, offdiag))
+        assert stall > took / 2, (stall, took)
 
 
 def perturbed_eigh_tridiagonal(perturb):
@@ -698,15 +763,17 @@ def test_full_rabi_refuses_oversized_problems():
 @pytest.mark.parametrize("n_trunc", [2, 32, 64, 256])
 def test_dense_oracle_is_bit_identical_to_scipy_eigh(n_trunc):
     # dsyevr with the workspace scipy.linalg.eigh queries: every bit of the evolution agrees
+    # at one BLAS thread, as the CLI runs
     initial = random_full_state(np.random.default_rng(n_trunc), n_trunc)
     psi0 = np.empty(2 * n_trunc, dtype=complex)
     psi0[0::2], psi0[1::2] = initial.amp_g, initial.amp_e
     times = np.array([0.0, 1.3, 27.3, 250.0])
     for omega0, g in itertools.product([0.0, 0.04, 0.3], [0.05, 0.3, 2.0]):
         p = RabiParams(omega0=omega0, omega=0.23, g=g, n_trunc=n_trunc)
-        evals, evecs = scipy.linalg.eigh(full_rabi_matrix(p))
-        psi_t = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.T @ psi0)[:, None])
-        amp_e, amp_g = full_rabi_amplitudes(p, initial, times)
+        with blas.one_thread():
+            evals, evecs = scipy.linalg.eigh(full_rabi_matrix(p))
+            psi_t = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.T @ psi0)[:, None])
+            amp_e, amp_g = full_rabi_amplitudes(p, initial, times)
         assert amp_e.tobytes() == psi_t[1::2].tobytes(), (omega0, g)
         assert amp_g.tobytes() == psi_t[0::2].tobytes(), (omega0, g)
 
