@@ -1,4 +1,4 @@
-"""The OpenBLAS libraries /proc/self/maps lists, and numpy's LAPACK, called without the GIL."""
+"""numpy's OpenBLAS, found through numpy itself: its thread count, its core and its LAPACK, without the GIL."""
 
 import ctypes   # numpy has imported it already
 from contextlib import contextmanager
@@ -7,79 +7,58 @@ from functools import cache
 import numpy as np
 from numpy.linalg import LinAlgError
 
-_MAPS = "/proc/self/maps"
 _ROUTINES = {"dstevd": (11, 1), "dsyevr": (21, 3)}   # arguments with INFO; CHARACTER*1 of them
-
-_OPENBLAS_THREADS = [   # (get, set) symbols: numpy's build, scipy's build, a plain build
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-]
+_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 
-def openblas_libraries():
-    """A ctypes handle on each OpenBLAS loaded (numpy and scipy each bundle one), if any."""
-    try:
-        with open(_MAPS) as maps:   # the pathname, the sixth field, may hold spaces
-            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n")
-                            for line in maps if "openblas" in line.lower()})
-    except OSError:
-        paths = []
-    for path in paths:
-        try:
-            yield ctypes.CDLL(path)
-        except OSError:   # a mapping whose file is gone
-            pass
+@cache
+def _openblas() -> ctypes.CDLL:
+    """numpy's extension module, opened once: dlsym on it searches the OpenBLAS it links.
+
+    PyPI's numpy >= 2 bundles scipy-openblas64 (ILP64), whose symbols end in ``64_``.
+    """
+    return ctypes.CDLL(np._core._multiarray_umath.__file__)
 
 
 @contextmanager
 def one_thread():
-    """Run every loaded OpenBLAS at one thread for the block, and restore the old counts after it.
+    """Run numpy's OpenBLAS at one thread for the block, where it exports its count, and restore it after.
 
-    That is numpy's, and scipy's where the host imported scipy; nothing
-    happens where :func:`openblas_libraries` finds none.  Lowering the count
-    stops no worker: the pool an OpenBLAS started when it loaded stays and
-    spins, so the CLI, as the program, loads numpy's at one thread instead
-    (``rabichain.cli``); this holds callers that loaded numpy first.
+    Lowering the count stops no worker: the pool OpenBLAS started when it
+    loaded stays and spins, so the CLI, as the program, loads it at one
+    thread instead (``rabichain.cli``); this holds callers that loaded numpy
+    first.  Another OpenBLAS, such as scipy's, keeps its count: nothing here calls it.
     """
-    restore = []
-    for handle in openblas_libraries():
-        for get, set_ in _OPENBLAS_THREADS:
-            if hasattr(handle, get) and hasattr(handle, set_):
-                setter = getattr(handle, set_)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                restore.append((setter, getattr(handle, get)()))
-                setter(1)
-                break
+    get, set_ = (getattr(_openblas(), name, None) for name in _THREADS)
+    old = get() if get is not None and set_ is not None else None
+    if old is not None:
+        set_(1)   # a Python int passes as the C int it takes
     try:
         yield
     finally:
-        for setter, old in restore:
-            setter(old)
+        if old is not None:
+            set_(old)
 
 
 @cache
 def numpy_core() -> str | None:
     """The core numpy's OpenBLAS runs, such as ``SkylakeX``, read once; None if unreadable."""
-    for handle in openblas_libraries():
-        if hasattr(handle, "scipy_openblas_get_corename64_"):   # numpy's build alone has it
-            get = handle.scipy_openblas_get_corename64_
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            return (get() or b"").decode("ascii", "replace") or None
+    get = getattr(_openblas(), "scipy_openblas_get_corename64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        return (get() or b"").decode("ascii", "replace") or None
 
 
 @cache
 def _lapack() -> ctypes.CDLL:
-    """numpy's OpenBLAS, with ``_ROUTINES`` declared: PyPI's numpy >= 2 bundles scipy-openblas64 (ILP64)."""
-    symbols = {f"scipy_{routine}_64_": counts for routine, counts in _ROUTINES.items()}
-    for handle in openblas_libraries():
-        if all(hasattr(handle, symbol) for symbol in symbols):
-            for symbol, (args, chars) in symbols.items():   # pointers, then gfortran's hidden lengths
-                getattr(handle, symbol).argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * chars
-                getattr(handle, symbol).restype = None
-            return handle
-    raise ImportError(f"numpy's OpenBLAS exports no {' and no '.join(symbols)} "
-                      f"(numpy {np.__version__}; OpenBLAS found through {_MAPS})")
+    """numpy's OpenBLAS, with ``_ROUTINES`` declared."""
+    handle, symbols = _openblas(), {f"scipy_{routine}_64_": counts for routine, counts in _ROUTINES.items()}
+    if not all(hasattr(handle, symbol) for symbol in symbols):
+        raise ImportError(f"numpy's OpenBLAS exports no {' and no '.join(symbols)} (numpy {np.__version__})")
+    for symbol, (args, chars) in symbols.items():   # pointers, then gfortran's hidden lengths
+        getattr(handle, symbol).argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * chars
+        getattr(handle, symbol).restype = None
+    return handle
 
 
 def _call(routine: str, *args) -> None:

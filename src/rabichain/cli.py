@@ -249,12 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; its exit code.
 
-    Every command runs every OpenBLAS at one thread (``blas.one_thread``), so the
-    output bytes depend on neither the CPU count nor OPENBLAS_NUM_THREADS; the
-    sweep pool, whose eigensolves release the GIL, and simulate's writer thread
-    are the parallelism.  Where this module was imported before numpy, numpy's
-    OpenBLAS loaded at one thread and started no worker; one_thread holds any
-    other caller to one thread and restores its counts after.
+    Every command runs numpy's OpenBLAS at one thread (``blas.one_thread``), so
+    the output bytes depend on neither the CPU count nor OPENBLAS_NUM_THREADS;
+    the sweep pool, whose eigensolves release the GIL, and simulate's writer
+    thread are the parallelism.  Where this module was imported before numpy,
+    numpy's OpenBLAS loaded at one thread and started no worker; one_thread
+    holds any other caller to one thread and restores its count after.  A numpy
+    whose OpenBLAS lacks the LAPACK the eigensolves call fails them with exit 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -284,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_NUMERIC
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except ImportError as exc:   # blas: numpy's OpenBLAS exports no dstevd or dsyevr
+            print(f"library error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
 
 

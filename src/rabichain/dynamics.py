@@ -46,10 +46,10 @@ call.  A block that starts at a multiple of 1024, a multiple of any
 power-of-two unrolling, puts every row in the same place of its group as
 the whole-grid call did, and merging a short tail keeps the last rows out
 of a tiny call: a 2-point last block changed cells of <n>.  At one BLAS
-thread every array so equals the whole-grid result; the CLI runs every
-command that solves at one thread (``blas.one_thread``), and when it is
-the program it loads numpy's OpenBLAS at one thread, so it starts no
-worker (``rabichain.cli``).  A caller that
+thread every array so equals the whole-grid result; the CLI runs numpy's
+OpenBLAS, the one BLAS the package calls, at one thread in every command
+that solves (``blas.one_thread``), and loads it at one thread when it is
+the program, so it starts no worker (``rabichain.cli``).  A caller that
 runs BLAS at more threads can see last-bit differences in every array,
 P(n) included, between thread counts: the products split their work
 between the threads (2 threads changed 1,436 of the 2,049 rows of the

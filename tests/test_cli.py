@@ -1,8 +1,8 @@
 """CLI commands end to end: files, determinism, exit codes."""
 
+import builtins
 import contextlib
-import ctypes
-import inspect
+import io
 import json
 import os
 import subprocess
@@ -10,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 try:
     import resource
@@ -26,6 +27,8 @@ from rabichain.cli import main
 from rabichain.dynamics import grid_points
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
 from rabichain.model import FullState, RabiParams
+from conftest import (OPENBLAS_THREADS, blas_threads, every_openblas_at_one_thread, openblas_libraries,
+                      set_blas_threads)
 from test_dynamics import failing_lapack, perturbed_eigh_tridiagonal
 
 DSC_CONFIG = """
@@ -268,26 +271,7 @@ def test_sweep_monotone_and_parallel_deterministic(config_path, tmp_path):
     assert np.all(np.diff(data[:, 2]) < 0)  # min population strictly decreasing
 
 
-def blas_threads():
-    """Thread count of every OpenBLAS this process has loaded, by library path."""
-    import ctypes
-
-    with open("/proc/self/maps") as maps:
-        libs = sorted({line.split(maxsplit=5)[5].rstrip("\n")
-                       for line in maps if "openblas" in line.lower()})
-    counts = {}
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
-        for get, _ in blas._OPENBLAS_THREADS:
-            if hasattr(handle, get):
-                counts[lib] = getattr(handle, get)()
-                break
-    return counts
-
-
-needs_openblas = pytest.mark.skipif(
-    not Path("/proc/self/maps").exists() or not blas_threads(), reason="no OpenBLAS listed in /proc"
-)
+needs_openblas = pytest.mark.skipif(not blas_threads(), reason="no OpenBLAS listed in /proc/self/maps")
 
 
 @needs_openblas
@@ -311,8 +295,7 @@ def test_commands_cap_blas_threads_and_restore_them(config_path, tmp_path, monke
     assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"),
                  "--omega0-list=-0.04,0,0.04", "--jobs", "2"]) == 0
     assert blas_threads() == before
-    assert seen["validate"] == {lib: 1 for lib in before}
-    assert seen["sweep"] == {lib: 1 for lib in before}
+    assert seen["validate"] == seen["sweep"] == {**before, "numpy": 1}   # scipy's keeps its count
 
 
 def test_sweep_output_does_not_depend_on_the_blas_cap(config_path, tmp_path, monkeypatch):
@@ -325,32 +308,75 @@ def test_sweep_output_does_not_depend_on_the_blas_cap(config_path, tmp_path, mon
             == (tmp_path / "default" / "sweep.tsv").read_bytes())
 
 
+def no_numpy_openblas(monkeypatch):
+    """Make ``blas`` look numpy's OpenBLAS up afresh and find none: no symbol resolves."""
+    monkeypatch.setattr(blas, "_openblas", lambda: SimpleNamespace())
+    monkeypatch.setattr(blas, "_lapack", blas._lapack.__wrapped__)   # not the handle found already
+
+
+def proc_reads(monkeypatch, maps=None):
+    """Make ``open`` refuse every /proc path but /proc/self/maps, which reads as ``maps`` (None: refused too)."""
+    real_open = open
+
+    def fake_open(path, *args, **kwargs):
+        if str(path) == "/proc/self/maps" and maps is not None:
+            return io.StringIO(maps)
+        if str(path).startswith("/proc"):
+            raise PermissionError(f"no access to {path}")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", fake_open)
+
+
 @pytest.mark.parametrize("maps", [None, "", "7f00-7f01 r-xp 00000000 08:01 42 /usr/lib/libm.so.6\n"])
-def test_blas_cap_does_nothing_without_an_openblas_listed(tmp_path, monkeypatch, maps):
-    path = tmp_path / "maps"   # None: the file cannot be read
-    if maps is not None:
-        path.write_text(maps)
-    monkeypatch.setattr(blas, "_MAPS", str(path))
-    counts = blas_threads if Path("/proc/self/maps").exists() else dict
+def test_blas_cap_does_nothing_without_an_openblas_listed(monkeypatch, maps):
+    # neither numpy's handle nor /proc/self/maps (None: unreadable) lists an OpenBLAS: the cap
+    # sets no count.  The counts are read through the libraries listed before the patches
+    libraries = openblas_libraries()
+
+    def counts():
+        return {build: getattr(handle, OPENBLAS_THREADS[build][0])() for build, handle in libraries.items()}
+
     before = counts()
+    no_numpy_openblas(monkeypatch)
+    proc_reads(monkeypatch, maps)
+    assert blas_threads() == {}
     with blas.one_thread():
         assert counts() == before
     assert counts() == before
     assert blas.numpy_core.__wrapped__() is None   # no core to read: the full product
 
 
-@needs_openblas
-def test_openblas_is_found_under_a_path_with_spaces(tmp_path, monkeypatch):
-    core, where = blas.numpy_core(), tmp_path / "My Projects" / "venv lib"
-    where.mkdir(parents=True)
-    maps = tmp_path / "maps"
-    with maps.open("w") as out:
-        for lib in blas_threads():
-            (where / Path(lib).name).symlink_to(lib)
-            out.write(f"7f00-7f01 r-xp 00000000 08:01 42    {where / Path(lib).name}\n")
-    monkeypatch.setattr(blas, "_MAPS", str(maps))
-    assert len(list(blas.openblas_libraries())) == len(blas_threads())
+def test_a_missing_lapack_exits_2_naming_both_symbols(config_path, tmp_path, capsys, monkeypatch):
+    # a numpy whose OpenBLAS exports no ILP64 LAPACK: the first eigensolve fails in one line,
+    # and writes nothing.  design solves nothing and runs
+    no_numpy_openblas(monkeypatch)
+    assert main(["validate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("library error: numpy's OpenBLAS exports no scipy_dstevd_64_ "
+                                   "and no scipy_dsyevr_64_")
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "sim")]) == 2
+    assert not (tmp_path / "sim").exists()
+    assert main(["design", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "recipe.tsv").exists()
+
+
+def test_numpys_openblas_is_found_without_reading_proc(monkeypatch):
+    # numpy's extension module leads to its OpenBLAS: no /proc file is read, on any platform
+    core = blas.numpy_core()
+    proc_reads(monkeypatch)
+    monkeypatch.setattr(blas, "_openblas", blas._openblas.__wrapped__)   # looked up afresh
+    monkeypatch.setattr(blas, "_lapack", blas._lapack.__wrapped__)
     assert blas.numpy_core.__wrapped__() == core
+    count = blas._openblas().scipy_openblas_get_num_threads64_
+    before = count()
+    with blas.one_thread():
+        assert count() == 1
+        evals, _ = dynamics.eigh_tridiagonal(np.zeros(3), np.ones(2))
+    assert count() == before
+    assert np.allclose(evals, [-np.sqrt(2), 0.0, np.sqrt(2)])
 
 
 # the variables OpenBLAS reads its thread count from when it loads
@@ -361,12 +387,13 @@ def run_fresh(script, *args, env=None):
     """Run ``script`` in a new interpreter on this rabichain; its last stdout line, as JSON.
 
     pytest has imported scipy here already: what a command loads, and when,
-    shows only in a fresh process.  The child sees none of the shell's
-    BLAS_THREAD_VARIABLES, so its OpenBLAS start at their default count;
-    ``env`` adds variables.
+    shows only in a fresh process.  The child can import ``conftest`` too.
+    It sees none of the shell's BLAS_THREAD_VARIABLES, so its OpenBLAS start
+    at their default count; ``env`` adds variables.
     """
     env = {**{k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES},
-           "PYTHONPATH": str(Path(cli.__file__).parents[1]), **(env or {})}
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]),
+           **(env or {})}
     proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -396,7 +423,7 @@ def test_package_names_load_their_module_on_first_use():
 FRESH_CLI = """
 import json, os, sys, time
 import rabichain.cli
-from rabichain import blas
+from conftest import blas_threads
 loaded = blas_threads()
 rc = rabichain.cli.main(sys.argv[1:])
 deadline = time.monotonic() + 5
@@ -416,10 +443,9 @@ def test_the_cli_loads_every_openblas_at_one_thread(config_path, tmp_path, comma
     # OPENBLAS_NUM_THREADS=2 asks for a worker; the CLI, imported first, loads numpy's OpenBLAS
     # alone, and it starts none
     files = [] if command == ["validate"] else ["--config", config_path, "--out", tmp_path / "out"]
-    run = run_fresh(inspect.getsource(blas_threads) + FRESH_CLI, *command, *files,
-                    env={"OPENBLAS_NUM_THREADS": "2"})
+    run = run_fresh(FRESH_CLI, *command, *files, env={"OPENBLAS_NUM_THREADS": "2"})
     assert run["rc"] == 0
-    assert run["loaded"] == {blas._lapack()._name: 1}
+    assert run["loaded"] == {"numpy": 1}
     assert run["after"] == run["loaded"]
     assert run["threads"] == 1
 
@@ -496,12 +522,14 @@ def test_no_command_needs_scipy(config_path, tmp_path, capsys):
 
 
 # A host that imported scipy, and numpy with it, before rabichain: both OpenBLAS keep
-# their default counts.  Records the thread counts once the command's solves have run,
-# still inside its cap.
+# their default counts.  A command caps every OpenBLAS the package calls, numpy's, and
+# leaves scipy's count alone.  Records the thread counts once the command's solves have
+# run, still inside its cap.
 FRESH_BLAS = """
 import json, sys
 import scipy.linalg
-from rabichain import blas, cli
+from conftest import blas_threads
+from rabichain import cli
 seen = {}
 def recorded(name, fn):
     def call(*args):
@@ -521,25 +549,24 @@ print(json.dumps({"rc": rc, "seen": seen, "after": blas_threads()}))
 @pytest.fixture(scope="module")
 def fresh_counts():
     """The thread counts of a fresh interpreter that has imported scipy, so both OpenBLAS, and run nothing."""
-    return run_fresh(inspect.getsource(blas_threads) + "import json\nimport scipy.linalg\n"
-                     "from rabichain import blas\nprint(json.dumps(blas_threads()))\n")
+    return run_fresh("import json\nimport scipy.linalg\nfrom conftest import blas_threads\n"
+                     "print(json.dumps(blas_threads()))\n")
 
 
 @needs_openblas
 def test_validate_caps_every_openblas_in_a_fresh_interpreter(fresh_counts):
-    run = run_fresh(inspect.getsource(blas_threads) + FRESH_BLAS, "validate")
+    run = run_fresh(FRESH_BLAS, "validate")
     assert run["rc"] == 0
-    assert run["seen"]["validate"] == {lib: 1 for lib in fresh_counts}
+    assert run["seen"]["validate"] == {"numpy": 1, "scipy": fresh_counts["scipy"]}
     assert run["after"] == fresh_counts
 
 
 @needs_openblas
 def test_sweep_caps_every_openblas_in_a_fresh_interpreter(config_path, tmp_path, fresh_counts):
-    run = run_fresh(inspect.getsource(blas_threads) + FRESH_BLAS,
-                    "sweep", "--config", config_path, "--out", tmp_path / "out",
+    run = run_fresh(FRESH_BLAS, "sweep", "--config", config_path, "--out", tmp_path / "out",
                     "--omega0-list=-0.04,0,0.04", "--jobs", "2")
     assert run["rc"] == 0
-    assert run["seen"]["sweep"] == {lib: 1 for lib in fresh_counts}
+    assert run["seen"]["sweep"] == {"numpy": 1, "scipy": fresh_counts["scipy"]}
     assert run["after"] == fresh_counts
 
 
@@ -549,23 +576,20 @@ def test_simulate_runs_every_openblas_at_one_thread(tmp_path, outputs, fresh_cou
     # with a map or without, whatever the CPU count: the writer thread is the parallelism
     cfg = tmp_path / "run.cfg"
     cfg.write_text(DSC_CONFIG + f"\n[output]\noutputs = {outputs}\n")
-    run = run_fresh(inspect.getsource(blas_threads) + FRESH_BLAS,
-                    "simulate", "--config", cfg, "--out", tmp_path / "out")
+    run = run_fresh(FRESH_BLAS, "simulate", "--config", cfg, "--out", tmp_path / "out")
     assert run["rc"] == 0
-    assert run["seen"]["simulate"] == {lib: 1 for lib in fresh_counts}
+    assert run["seen"]["simulate"] == {"numpy": 1, "scipy": fresh_counts["scipy"]}
     assert run["after"] == fresh_counts
 
 
-def set_blas_threads(n):
-    """Set every listed OpenBLAS to n threads; the counts they then read, by library path."""
-    for handle in blas.openblas_libraries():
-        for get, set_ in blas._OPENBLAS_THREADS:
-            if hasattr(handle, get) and hasattr(handle, set_):
-                setter = getattr(handle, set_)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(n)
-                break
-    return blas_threads()
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_a_forced_openblas_core_is_read_and_takes_the_full_product(core):
+    # numpy's OpenBLAS is a DYNAMIC_ARCH build: OPENBLAS_CORETYPE picks its kernels when it
+    # loads.  No core but SkylakeX has had its GEMM panels checked, so the product is not cut
+    read = run_fresh("import json\nfrom rabichain import blas, dynamics\ncore = blas.numpy_core()\n"
+                     "print(json.dumps([core, dynamics._inner_dimension(170, 1024, core)]))\n",
+                     env={"OPENBLAS_CORETYPE": core})
+    assert read == [core, 1024]
 
 
 @needs_openblas
@@ -577,13 +601,14 @@ def test_simulate_files_do_not_depend_on_the_cpu_count_or_the_blas_threads(tmp_p
                    .replace("t_max = 60", "t_max = 204.8"))
     files = ["timeseries.tsv", "intensity_map.tsv", "intensity_map.pgm"]
     before = blas_threads()
-    with blas.one_thread():   # the reference run's count; the old counts are back after the test
+    with every_openblas_at_one_thread():   # the reference run's count; the old counts are back after
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "one"), "--image"]) == 0
-        if set_blas_threads(2) != {lib: 2 for lib in before}:
+        two = dict.fromkeys(before, 2)
+        if set_blas_threads(two) != two:
             pytest.skip("an OpenBLAS here cannot be set to 2 threads")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))   # 4 CPUs
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "two"), "--image"]) == 0
-        assert blas_threads() == {lib: 2 for lib in before}
+        assert blas_threads() == two
     assert blas_threads() == before
     for name in files:
         assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name

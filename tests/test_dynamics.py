@@ -15,6 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import every_openblas_at_one_thread
 from rabichain import blas, dynamics
 from rabichain.dynamics import (
     DECOMPOSITION_TOL,
@@ -146,6 +147,7 @@ def chain_matrix(n_trunc, g, omega0, chain):
 def test_eigensolve_is_bit_identical_to_scipy_eigh_tridiagonal(n_trunc):
     # LAPACK's dstevd in numpy's OpenBLAS and in scipy's: every bit of both results agrees at
     # one BLAS thread, as the CLI runs (at 2, scipy's own bits differ at n_trunc 300, g 0.3).
+    # The package sets numpy's count alone; the reference runs in scipy's, set here.
     # Every g, omega0 and sign at the small sizes; at the large ones, four of them
     cases = list(itertools.product([0.05, 0.3, 2.0], [0.0, 0.04, 0.3], ParityChain))
     if n_trunc > 300:
@@ -155,6 +157,7 @@ def test_eigensolve_is_bit_identical_to_scipy_eigh_tridiagonal(n_trunc):
         diag, offdiag = chain_matrix(n_trunc, *case)
         with blas.one_thread():
             evals, evecs = dynamics.eigh_tridiagonal(diag, offdiag)
+        with every_openblas_at_one_thread():
             want_evals, want_evecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
         assert evecs.flags.f_contiguous and want_evecs.flags.f_contiguous, case
         assert evals.tobytes() == want_evals.tobytes(), case
@@ -199,14 +202,10 @@ def test_eigensolve_raises_on_a_lapack_error(monkeypatch, info, error, message):
         full_rabi_reference(DSC, FullState.basis_state("e", 0, 64), 1.0)
 
 
-def test_numpy_without_the_lapack_symbols_is_an_import_error(monkeypatch, tmp_path):
+def test_numpy_without_the_lapack_symbols_is_an_import_error(monkeypatch):
     # no fallback: where numpy's OpenBLAS exports no ILP64 LAPACK, the first eigensolve fails,
-    # naming the symbols.  The process's other OpenBLAS (scipy's, if loaded) exports another ABI
-    numpy_lapack = blas._lapack()._name
-    with open("/proc/self/maps") as maps:
-        others = [line for line in maps if "openblas" in line.lower() and numpy_lapack not in line]
-    (tmp_path / "maps").write_text("".join(others))
-    monkeypatch.setattr(blas, "_MAPS", str(tmp_path / "maps"))
+    # naming the symbols
+    monkeypatch.setattr(blas, "_openblas", lambda: SimpleNamespace())   # no symbol resolves
     monkeypatch.setattr(blas, "_lapack", blas._lapack.__wrapped__)   # not the one found already
     with pytest.raises(ImportError, match="exports no scipy_dstevd_64_ and no scipy_dsyevr_64_"):
         dynamics.eigh_tridiagonal(*chain_matrix(16, 0.3, 0.04, ParityChain.C))
@@ -763,7 +762,7 @@ def test_full_rabi_refuses_oversized_problems():
 @pytest.mark.parametrize("n_trunc", [2, 32, 64, 256])
 def test_dense_oracle_is_bit_identical_to_scipy_eigh(n_trunc):
     # dsyevr with the workspace scipy.linalg.eigh queries: every bit of the evolution agrees
-    # at one BLAS thread, as the CLI runs
+    # at one BLAS thread, as the CLI runs.  The reference's eigh runs in scipy's OpenBLAS
     initial = random_full_state(np.random.default_rng(n_trunc), n_trunc)
     psi0 = np.empty(2 * n_trunc, dtype=complex)
     psi0[0::2], psi0[1::2] = initial.amp_g, initial.amp_e
@@ -771,7 +770,8 @@ def test_dense_oracle_is_bit_identical_to_scipy_eigh(n_trunc):
     for omega0, g in itertools.product([0.0, 0.04, 0.3], [0.05, 0.3, 2.0]):
         p = RabiParams(omega0=omega0, omega=0.23, g=g, n_trunc=n_trunc)
         with blas.one_thread():
-            evals, evecs = scipy.linalg.eigh(full_rabi_matrix(p))
+            with every_openblas_at_one_thread():
+                evals, evecs = scipy.linalg.eigh(full_rabi_matrix(p))
             psi_t = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.T @ psi0)[:, None])
             amp_e, amp_g = full_rabi_amplitudes(p, initial, times)
         assert amp_e.tobytes() == psi_t[1::2].tobytes(), (omega0, g)
