@@ -155,18 +155,21 @@ def _sweep_point(params: RabiParams, omega0: float, t_grid: np.ndarray):
     ``params`` is the model with |omega0|; the sign selects the initial
     state (excited for omega0 >= 0, ground otherwise).  The two choices
     excite the two different parity chains, so the signed value reaches
-    both.  min P_r, min population and max <n> are folded block by block;
-    ``np.minimum`` and ``np.maximum`` keep a nan, as a whole-grid min does.
+    both.  min P_r, min population, max <n> and the top-site occupancy are
+    folded block by block; ``np.minimum`` and ``np.maximum`` keep a nan, as
+    a whole-grid min does.  Returns the sweep.tsv row and that occupancy.
     """
     excited = omega0 >= 0
     initial = FullState.basis_state("e" if excited else "g", 0, params.n_trunc)
     min_p_r = min_population = np.inf
     max_mean_n = -np.inf
-    for _, _, p_e, p_r, mean_n in trajectory_blocks(params, initial, t_grid):
+    top = 0.0
+    for _, pop, p_e, p_r, mean_n in trajectory_blocks(params, initial, t_grid):
         min_p_r = np.minimum(min_p_r, p_r.min())
         min_population = np.minimum(min_population, (p_e if excited else 1.0 - p_e).min())
         max_mean_n = np.maximum(max_mean_n, mean_n.max())
-    return omega0, float(min_p_r), float(min_population), float(max_mean_n)
+        top = max(top, top_occupancy(pop, params.n_trunc))
+    return (omega0, float(min_p_r), float(min_population), float(max_mean_n)), top
 
 
 def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int) -> int:
@@ -191,8 +194,12 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
     )
     t_grid = time_grid(t_bounce, dt)
     with ThreadPoolExecutor(max_workers=runs) as pool:
-        rows = list(pool.map(lambda p, v: _sweep_point(p, v, t_grid), models, omega0_list))
-    write_text(out_dir / "sweep.tsv", sweep_summary_text(rows))
+        points = list(pool.map(lambda p, v: _sweep_point(p, v, t_grid), models, omega0_list))
+    write_text(out_dir / "sweep.tsv", sweep_summary_text([row for row, _ in points]))
+    for (omega0, *_), top in points:
+        if top > TRUNCATION_OCCUPANCY:
+            print(f"note: truncation-contaminated sweep point omega0 = {omega0!r}, "
+                  f"top-site occupancy {top:.3e}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -2,8 +2,12 @@
 
 Every key is validated against a fixed schema: unknown sections or keys
 are rejected by name, and every physical invariant violation reports the
-offending key together with the violated bound.  See the README for the
-full key reference.
+offending key together with the violated bound.  The [model] and [design]
+numbers are the fields of ``RabiParams``, ``CouplingCalibration`` and
+``OpticalConstants``: :func:`_fields` reads each by its name, parses it by
+its annotation and knows it is required from its missing default, and the
+bounds are those dataclasses' own checks.  See the README for the full key
+reference.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -144,54 +148,58 @@ def _int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from None
 
 
-def _amplitudes(section: str, key: str, raw: str, n_trunc: int) -> np.ndarray:
+def _amplitudes(key: str, raw: str, n_trunc: int) -> np.ndarray:
     out = np.zeros(n_trunc, dtype=complex)
-    items = [s.strip() for s in raw.split(",") if s.strip()]
+    items = [s.strip() for s in raw.split(",")] if raw.strip() else []   # empty: all zeros
     if len(items) > n_trunc:
-        raise ConfigError(
-            f"{section}.{key}: {len(items)} amplitudes exceed n_trunc = {n_trunc}"
-        )
+        raise ConfigError(f"model.{key}: {len(items)} amplitudes exceed n_trunc = {n_trunc}")
     for i, item in enumerate(items):
+        if not item:   # dropping it would move every later amplitude down one Fock state
+            raise ConfigError(f"model.{key}: field {i + 1} is empty; write 0 for a zero amplitude")
         try:
             out[i] = complex(item)
         except ValueError:
-            raise ConfigError(f"{section}.{key}: bad complex number: {item!r}") from None
+            raise ConfigError(f"model.{key}: bad complex number: {item!r}") from None
     return out
 
 
 def _build_initial(section: dict[str, str], params: RabiParams) -> FullState:
-    has_label = "initial" in section
     has_lists = "initial_e" in section or "initial_g" in section
-    if has_label and has_lists:
+    if has_lists and "initial" in section:
         raise ConfigError("model.initial and model.initial_e/initial_g are exclusive")
     if has_lists:
-        amp_e = _amplitudes("model", "initial_e", section.get("initial_e", ""), params.n_trunc)
-        amp_g = _amplitudes("model", "initial_g", section.get("initial_g", ""), params.n_trunc)
+        amps = [_amplitudes(key, section.get(key, ""), params.n_trunc)
+                for key in ("initial_e", "initial_g")]
         try:
-            return FullState(amp_e, amp_g)
+            return FullState(*amps)
         except ValueError as exc:
             raise ConfigError(f"model.initial_e/initial_g: {exc}") from None
     label = section.get("initial", "e0").strip()
-    branch, idx = label[:1], label[1:]
-    if branch not in ("e", "g") or not (idx.isascii() and idx.isdigit()):
-        raise ConfigError(
-            f"model.initial: expected a qubit branch plus Fock index "
-            f"(e.g. 'e0', 'g3'), got {label!r}"
-        )
-    m = int(idx)
-    if m >= params.n_trunc:
-        raise ConfigError(
-            f"model.initial: Fock index {m} must be < n_trunc = {params.n_trunc}"
-        )
-    return FullState.basis_state(branch, m, params.n_trunc)
+    if not (label[1:].isascii() and label[1:].isdigit()):
+        raise ConfigError(f"model.initial: expected a qubit branch plus Fock index "
+                          f"(e.g. 'e0', 'g3'), got {label!r}")
+    try:
+        return FullState.basis_state(label[:1], int(label[1:]), params.n_trunc)
+    except ValueError as exc:
+        raise ConfigError(f"model.initial: {exc}") from None
 
 
-def _with_design_keys(default, section: dict[str, str]):
-    """``default`` with every field that [design] sets replaced, parsed in field order."""
-    return replace(default, **{
-        f.name: _float("design", f.name, section[f.name])
-        for f in fields(default) if f.name in section
-    })
+def _fields(cls, section: str, values: dict[str, str], **defaults) -> dict:
+    """The fields of dataclass ``cls`` set in ``[section]``, each parsed by its annotation (int
+    or float; another raises TypeError).  An unset field takes ``defaults``, then the class
+    default; one with neither is required, a ConfigError naming ``section.field``."""
+    out = {}
+    for f in fields(cls):
+        parse = {"int": _int, "float": _float}.get(f.type)
+        if parse is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config parser for annotation {f.type!r}")
+        if f.name in values:
+            out[f.name] = parse(section, f.name, values[f.name])
+        elif f.name in defaults:
+            out[f.name] = defaults[f.name]
+        elif f.default is MISSING:
+            raise ConfigError(f"{section}.{f.name} is required")
+    return out
 
 
 def parse_config(text: str) -> RunConfig:
@@ -213,17 +221,10 @@ def parse_config(text: str) -> RunConfig:
     if not parser.has_section("model"):
         raise ConfigError("missing required section [model]")
     model = dict(parser["model"])
-    for key in ("omega", "g", "n_trunc"):
-        if key not in model:
-            raise ConfigError(f"model.{key} is required")
-
-    omega = _float("model", "omega", model["omega"])
-    g = _float("model", "g", model["g"])
-    n_trunc = _int("model", "n_trunc", model["n_trunc"])
-    omega0 = _float("model", "omega0", model.get("omega0", "0"))
-    check_memory("model.n_trunc", n_trunc=n_trunc)
+    values = _fields(RabiParams, "model", model, omega0=0.0)
+    check_memory("model.n_trunc", n_trunc=values["n_trunc"])
     try:
-        params = RabiParams(omega0=omega0, omega=omega, g=g, n_trunc=n_trunc)
+        params = RabiParams(**values)
     except ValueError as exc:
         raise ConfigError(f"model.{exc}") from None
     initial = _build_initial(model, params)
@@ -256,9 +257,9 @@ def parse_config(text: str) -> RunConfig:
         if n_guides < 2:
             raise ConfigError(f"design.n_guides: must be >= 2, got {n_guides}")
         check_memory("design.n_guides", n_guides=n_guides)
+        cal, oc = (_fields(cls, "design", d) for cls in (CouplingCalibration, OpticalConstants))
         try:
-            cal = _with_design_keys(CouplingCalibration(), d)
-            oc = _with_design_keys(OpticalConstants(), d)
+            cal, oc = CouplingCalibration(**cal), OpticalConstants(**oc)
         except ValueError as exc:
             raise ConfigError(f"design: {exc}") from None
         design = DesignConfig(calibration=cal, optics=oc, n_guides=n_guides)

@@ -138,7 +138,7 @@ class FullState:
         if branch not in ("e", "g"):
             raise ValueError(f"branch must be 'e' or 'g', got {branch!r}")
         if not 0 <= m < n_trunc:
-            raise ValueError(f"Fock index {m} outside [0, {n_trunc})")
+            raise ValueError(f"Fock index {m} outside [0, n_trunc = {n_trunc})")
         amp_e = np.zeros(n_trunc, dtype=complex)
         amp_g = np.zeros(n_trunc, dtype=complex)
         (amp_e if branch == "e" else amp_g)[m] = 1.0

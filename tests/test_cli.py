@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -256,6 +257,38 @@ def test_sweep_folds_the_extremes_of_the_whole_trajectory(tmp_path, points):
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs,
                      "--omega0-list=" + ",".join(map(str, omega0_list))]) == 0
         assert (out / "sweep.tsv").read_bytes() == whole
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_notes_each_truncation_contaminated_point_in_list_order(tmp_path, capsys, jobs):
+    # n_trunc 8 at g 0.3: the top two sites of either point hold about 0.31
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG.replace("g = 0.15", "g = 0.3").replace("n_trunc = 64", "n_trunc = 8"))
+    t_bounce = 2 * np.pi / 0.23
+    with blas.one_thread():   # as the sweep pool runs
+        tops = [dynamics.run_trajectory(RabiParams(omega0=v, omega=0.23, g=0.3, n_trunc=8),
+                                        FullState.basis_state("e", 0, 8), t_bounce, 0.1)
+                .top_site_occupancy for v in (0.1, 0.0)]
+    assert min(tops) > 0.3
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", jobs,
+                 "--omega0-list=0.1,0"]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"note: truncation-contaminated sweep point omega0 = {v!r}, top-site occupancy {top:.3e}\n"
+        for v, top in zip((0.1, 0.0), tops))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    assert capsys.readouterr().err.startswith("note: truncation-contaminated run, ")
+
+
+def test_the_benchmark_sweep_notes_no_truncation(tmp_path, capsys):
+    # the 24 seed-0 points of perfbench's checks workload at n_trunc 512, where the state
+    # reaches site 170 at most
+    rng = random.Random(0)
+    omega0_list = ",".join(repr(round(rng.uniform(-0.3, 0.3), 4)) for _ in range(24))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG.replace("n_trunc = 64", "n_trunc = 512").replace("dt = 0.1\n", ""))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "2",
+                 f"--omega0-list={omega0_list}"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_monotone_and_parallel_deterministic(config_path, tmp_path):
@@ -593,7 +626,7 @@ def test_a_forced_openblas_core_is_read_and_takes_the_full_product(core):
 
 
 @needs_openblas
-def test_simulate_files_do_not_depend_on_the_cpu_count_or_the_blas_threads(tmp_path, monkeypatch):
+def test_simulate_files_do_not_depend_on_the_cpu_count_or_the_blas_threads(tmp_path):
     # a map over two blocks at n_trunc 300: evolved at 2 BLAS threads, 1,436 of its 2,049
     # rows differed from the 1-thread run's in the last bit
     cfg = tmp_path / "run.cfg"
@@ -606,7 +639,6 @@ def test_simulate_files_do_not_depend_on_the_cpu_count_or_the_blas_threads(tmp_p
         two = dict.fromkeys(before, 2)
         if set_blas_threads(two) != two:
             pytest.skip("an OpenBLAS here cannot be set to 2 threads")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))   # 4 CPUs
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "two"), "--image"]) == 0
         assert blas_threads() == two
     assert blas_threads() == before
@@ -873,6 +905,7 @@ def test_design_needs_no_grid_section(tmp_path):
     "line, bad, key",
     [
         ("initial = e0", "initial_e = 1, nan", "model.initial_e/initial_g"),
+        ("initial = e0", "initial_e = 0,,1", "model.initial_e"),
         ("omega0 = 0", "omega0 = 1e308", "model.omega0/omega"),
         ("g = 0.15", "g = 1e308", "model.g/omega"),
         ("omega = 0.23", "omega = 1e-320", "model.g/omega"),

@@ -1,9 +1,15 @@
 """Strict config parsing: schema, invariants, error naming."""
 
+import re
+from dataclasses import dataclass, fields
+
 import numpy as np
 import pytest
 
+from rabichain import config
 from rabichain.config import ConfigError, load_config, parse_config
+from rabichain.lattice import CouplingCalibration, OpticalConstants
+from rabichain.model import RabiParams
 
 MINIMAL = """
 [model]
@@ -88,6 +94,23 @@ def test_explicit_amplitude_lists():
     assert cfg.initial.amp_g[1] == pytest.approx(0.8j)
 
 
+@pytest.mark.parametrize("lines, key, field", [
+    ("initial_e = 0,,1", "initial_e", 2),      # would put the excitation on |e,1>, not |e,2>
+    ("initial_e = ,1", "initial_e", 1),        # would put it on |e,0>
+    ("initial_e = 1,", "initial_e", 2),
+    ("initial_e = 0\ninitial_g = 0, ,1", "initial_g", 2),
+])
+def test_an_empty_amplitude_field_is_refused_by_key_and_position(lines, key, field):
+    with pytest.raises(ConfigError, match=rf"^model\.{key}: field {field} is empty"):
+        parse_config(MINIMAL.replace("initial = e0", lines))
+
+
+def test_an_empty_amplitude_list_is_all_zeros():
+    cfg = parse_config(MINIMAL.replace("initial = e0", "initial_e =\ninitial_g = 0, 0, 1"))
+    assert not cfg.initial.amp_e.any()
+    assert cfg.initial.amp_g[2] == 1.0
+
+
 def test_amplitude_list_must_be_normalized():
     text = MINIMAL.replace("initial = e0", "initial_e = 0.5, 0.5")
     with pytest.raises(ConfigError, match="not normalized"):
@@ -133,3 +156,50 @@ def test_grid_keys_are_optional_and_not_checked_against_each_other():
     assert (cfg.t_max, cfg.dt) == (0.05, 0.1)
     with pytest.raises(ConfigError, match="grid.t_max: must be > 0"):
         parse_config(MINIMAL.replace("t_max = 60", "t_max = 0"))
+
+
+SCHEMA = [(RabiParams, "model"), (CouplingCalibration, "design"), (OpticalConstants, "design")]
+DESIGN = "\n[design]\nn_guides = 15\n"
+
+
+def _held(cfg):
+    return {RabiParams: cfg.params, CouplingCalibration: cfg.design.calibration,
+            OpticalConstants: cfg.design.optics}
+
+
+FIELDS = [(cls, section, f) for cls, section in SCHEMA for f in fields(cls)]
+
+
+@pytest.mark.parametrize("cls, section, field", FIELDS,
+                         ids=[f"{cls.__name__}.{f.name}" for cls, _, f in FIELDS])
+def test_every_dataclass_field_is_a_key_parsed_to_its_annotated_type(cls, section, field):
+    kind = {"int": int, "float": float}[field.type]
+    value = getattr(_held(parse_config(MINIMAL + DESIGN))[cls], field.name)
+    value = value + 1 if kind is int else value * (1 + 2**-30) + 2**-30   # off its default
+    if section == "model":   # MINIMAL sets every model key
+        text = re.sub(rf"(?m)^{field.name} = .*$", f"{field.name} = {value!r}", MINIMAL) + DESIGN
+    else:
+        text = MINIMAL + DESIGN + f"{field.name} = {value!r}\n"
+    parsed = getattr(_held(parse_config(text))[cls], field.name)
+    assert type(parsed) is kind
+    assert parsed == value
+
+
+def test_a_field_annotated_other_than_int_or_float_is_not_parsed():
+    @dataclass(frozen=True)
+    class Flags:
+        scale: "float" = 1.0
+        enabled: "bool" = False
+
+    with pytest.raises(TypeError, match="Flags.enabled: no config parser for annotation 'bool'"):
+        config._fields(Flags, "flags", {"scale": "2", "enabled": "1"})
+    with pytest.raises(TypeError, match="Flags.enabled"):   # also when the section leaves it unset
+        config._fields(Flags, "flags", {})
+
+
+def test_a_missing_required_field_is_named_and_defaults_fill_in():
+    with pytest.raises(ConfigError, match=r"^model\.g is required$"):
+        parse_config(MINIMAL.replace("g = 0.15\n", ""))
+    assert config._fields(RabiParams, "model", {"omega": "1", "g": "0", "n_trunc": "4"},
+                          omega0=0.0) == {"omega0": 0.0, "omega": 1.0, "g": 0.0, "n_trunc": 4}
+    assert config._fields(CouplingCalibration, "design", {"d_ref": "12"}) == {"d_ref": 12.0}
