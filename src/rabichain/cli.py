@@ -49,10 +49,9 @@ from .output import (
     intensity_map_header,
     intensity_map_pgm,
     intensity_map_rows,
+    new_files,
     sweep_summary_text,
-    text_file,
     timeseries_rows,
-    write_bytes,
     write_text,
 )
 from .validate import run_validation
@@ -108,15 +107,16 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
     top, reached = 0.0, None   # the map's reached sites, kept for the raster only
 
     # Two stages: this thread evolves block k+1 while one writer thread formats and writes
-    # block k.  Every file is renamed into place only when the last block is written.
+    # block k.  The files, the raster too, are renamed into place only when all are written.
     with ExitStack() as stack:
         blocks = trajectory_blocks(cfg.params, cfg.initial, t_grid)   # a failed eigensolve writes nothing
+        create = stack.enter_context(new_files())
         timeseries = tsv_map = None
         if "timeseries" in cfg.outputs:
-            timeseries = stack.enter_context(text_file(out_dir / "timeseries.tsv"))
+            timeseries = create(out_dir / "timeseries.tsv")
             timeseries.write(TIMESERIES_HEADER)
         if "intensity_map" in cfg.outputs:
-            tsv_map = stack.enter_context(text_file(out_dir / "intensity_map.tsv"))
+            tsv_map = create(out_dir / "intensity_map.tsv")
             tsv_map.write(intensity_map_header(n))
 
         def write(cols, pop, p_e, p_r, mean_n):
@@ -143,7 +143,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
         del reached
         written.result()
         if image:
-            write_bytes(out_dir / "intensity_map.pgm", raster)
+            create(out_dir / "intensity_map.pgm", binary=True).write(raster)
     if top > TRUNCATION_OCCUPANCY:
         print(f"note: truncation-contaminated run, top-site occupancy {top:.3e}", file=sys.stderr)
     return EXIT_OK
@@ -219,10 +219,9 @@ def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
             f"the recipe misses its targets: max relative deviation "
             f"{report.max_rel_deviation:.6e}, bound {RECIPE_DEVIATION_TOL:.0e}"
         )
-    # both files are renamed into place only when both are written
-    with text_file(out_dir / "recipe.tsv") as tsv, text_file(out_dir / "recipe_report.txt") as txt:
-        tsv.write(format_recipe(recipe))
-        txt.write(report.to_text())
+    with new_files() as create:
+        create(out_dir / "recipe.tsv").write(format_recipe(recipe))
+        create(out_dir / "recipe_report.txt").write(report.to_text())
     return EXIT_OK
 
 

@@ -70,14 +70,14 @@ MAP_CELL_BYTES = 24
 WRITTEN_CELL_BYTES = 8
 FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * _BLOCK_VALUES
 # design, per guide.  Arrays: lattice.design's 13 float arrays while the
-# recipe copies 7 of them (160), then the recipe and the report's 9 arrays
-# (128) with verify_recipe's list of Python floats and temporaries (64).
+# recipe copies 7 of them (160), then the recipe and the report's 8 arrays
+# (120) with verify_recipe's list of Python floats and temporaries (64).
 # Text, with the recipe and report held: a table is a list of row strings
 # (row length + 57 each), their join and its encoding, 3 x row length + 57.
 # recipe.tsv rows are at most 8 fields of 20 characters (160), and encoding
 # them peaks at 7 x 130 bytes (format_rows' count above); the report's rows,
 # which set the figure, at most 710 (two fixed-point fields of 317).
-GUIDE_BYTES = 128 + 3 * 710 + 57
+GUIDE_BYTES = 120 + 3 * 710 + 57
 
 
 def _physical_memory_bytes() -> float:

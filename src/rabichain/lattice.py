@@ -5,6 +5,9 @@ in nm, curvature radius in mm, frequencies in mm^-1, writing speeds in
 mm/s.  All conversions happen inside :func:`gradient_omega` and the
 detuning formula.
 
+:class:`LatticeRecipe`'s fields name their units and are, by name, the
+columns of ``recipe.tsv`` after the guide index (``RECIPE_COLUMNS``).
+
 Design chain:
 
 * couplings kappa_n = g sqrt(n+1) are realized by spacings through an
@@ -151,51 +154,44 @@ def gradient_omega(oc: OpticalConstants, d_um, n_eff) -> float:
 
 @dataclass(frozen=True)
 class LatticeRecipe:
-    """Per-guide fabrication table for an N-guide array.
+    """Per-guide fabrication table for an N-guide array, N = ``n_guides``.
 
-    Arrays all have length N; step quantities (spacing to the next guide,
-    achieved coupling, achieved gradient) are NaN on the last row.
+    Each field is the ``recipe.tsv`` column of its name, N floats; the step
+    quantities (``"step"`` in their field metadata) are NaN on the last row.
 
-    position_um       : absolute transverse position, guide 0 at the origin
-    spacing_um        : center-to-center distance to the next guide
-    delta_n_eff       : total effective-index offset from the base index
-                        (gradient compensation + alternating detuning)
-    writing_speed     : v_base + delta_n_eff / dn_dv, mm/s
-    achieved_kappa    : coupling realized by spacing_um, mm^-1
-    achieved_omega    : compensated propagation-constant increment, mm^-1
-    achieved_detuning : alternating diagonal term realized on this guide, mm^-1
+    position_um           : absolute transverse position, guide 0 at the origin
+    spacing_um            : center-to-center distance to the next guide
+    delta_n_eff           : total effective-index offset from the base index
+                            (gradient compensation + alternating detuning)
+    writing_speed_mm_s    : v_base + delta_n_eff / dn_dv
+    achieved_kappa_mm1    : coupling realized by spacing_um
+    achieved_omega_mm1    : compensated propagation-constant increment
+    achieved_detuning_mm1 : alternating diagonal term realized on this guide
     """
 
-    n_guides: int
     position_um: np.ndarray
-    spacing_um: np.ndarray
+    spacing_um: np.ndarray = field(metadata={"step": True})
     delta_n_eff: np.ndarray
-    writing_speed: np.ndarray
-    achieved_kappa: np.ndarray
-    achieved_omega: np.ndarray
-    achieved_detuning: np.ndarray
+    writing_speed_mm_s: np.ndarray
+    achieved_kappa_mm1: np.ndarray = field(metadata={"step": True})
+    achieved_omega_mm1: np.ndarray = field(metadata={"step": True})
+    achieved_detuning_mm1: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self)[1:]:   # the per-guide arrays, in RECIPE_COLUMNS order
-            arr = np.asarray(getattr(self, f.name), dtype=float).copy()
-            if arr.shape != (self.n_guides,):
-                raise ValueError(
-                    f"{f.name} must have shape ({self.n_guides},), got {arr.shape}"
-                )
+        guides = np.shape(self.position_um)[:1]
+        for f in fields(self):
+            arr = np.array(getattr(self, f.name), dtype=float)   # a copy the recipe owns
+            if arr.ndim != 1 or arr.shape != guides:
+                raise ValueError(f"{f.name} must have shape {guides}, got {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, f.name, arr)
 
+    @property
+    def n_guides(self) -> int:
+        return self.position_um.shape[0]
 
-RECIPE_COLUMNS = (
-    "guide",
-    "position_um",
-    "spacing_um",
-    "delta_n_eff",
-    "writing_speed_mm_s",
-    "achieved_kappa_mm1",
-    "achieved_omega_mm1",
-    "achieved_detuning_mm1",
-)
+
+RECIPE_COLUMNS = ("guide", *(f.name for f in fields(LatticeRecipe)))
 
 
 def design(
@@ -213,8 +209,7 @@ def design(
     if n_guides < 2:
         raise ValueError(f"need at least 2 guides, got {n_guides}")
 
-    n_steps = n_guides - 1
-    spacings = np.empty(n_steps)
+    spacings = np.empty(n_guides - 1)
     for n, target in enumerate(coupling_ladder(params.g, n_guides).tolist()):
         try:
             spacings[n] = spacing_for_coupling(cal, target)
@@ -243,24 +238,16 @@ def design(
             f"window [{oc.v_min}, {oc.v_max}] mm/s"
         )
 
-    # forward-recompute the achieved quantities from the fabrication fields
-    achieved_kappa = np.full(n_guides, np.nan)
-    achieved_kappa[:n_steps] = cal.kappa(spacings)
-    achieved_omega = np.full(n_guides, np.nan)
-    achieved_omega[:n_steps] = omega_bare + np.diff(delta_comp) * 2.0 * math.pi / oc.wavelength_mm
-    achieved_detuning = delta_det * 2.0 * math.pi / oc.wavelength_mm
-
-    spacing_col = np.full(n_guides, np.nan)
-    spacing_col[:n_steps] = spacings
+    # the achieved quantities, recomputed from the fabrication fields; NaN past the last step
     return LatticeRecipe(
-        n_guides=n_guides,
         position_um=positions,
-        spacing_um=spacing_col,
+        spacing_um=np.append(spacings, np.nan),
         delta_n_eff=delta_total,
-        writing_speed=speeds,
-        achieved_kappa=achieved_kappa,
-        achieved_omega=achieved_omega,
-        achieved_detuning=achieved_detuning,
+        writing_speed_mm_s=speeds,
+        achieved_kappa_mm1=np.append(cal.kappa(spacings), np.nan),
+        achieved_omega_mm1=np.append(
+            omega_bare + np.diff(delta_comp) * 2.0 * math.pi / oc.wavelength_mm, np.nan),
+        achieved_detuning_mm1=delta_det * 2.0 * math.pi / oc.wavelength_mm,
     )
 
 
@@ -276,7 +263,6 @@ class RecipeReport:
     omega_rel_dev: np.ndarray
     uncompensated_omega: np.ndarray
     target_detuning: np.ndarray
-    achieved_detuning: np.ndarray
     detuning_dev: np.ndarray
     spacing_in_validity: bool
     max_rel_deviation: float = field(init=False)
@@ -292,7 +278,7 @@ class RecipeReport:
     def to_text(self) -> str:
         lines = [
             "recipe verification report",
-            f"  guides                : {self.achieved_detuning.shape[0]}",
+            f"  guides                : {self.target_detuning.shape[0]}",
             f"  max |kappa| rel dev   : {self.kappa_rel_dev_max:.6e}",
             f"  max |omega| rel dev   : {self.omega_rel_dev_max:.6e}",
             f"  max |detuning| dev    : {np.abs(self.detuning_dev).max():.6e} mm^-1",
@@ -328,8 +314,7 @@ def verify_recipe(
     """Recompute achieved couplings, gradient, and detuning from the recipe
     fields and report deviations from the design targets (report only,
     never raises on deviations)."""
-    n_steps = recipe.n_guides - 1
-    spacings = recipe.spacing_um[:n_steps]
+    spacings = recipe.spacing_um[:-1]
 
     target_kappa = coupling_ladder(params.g, recipe.n_guides)
     achieved_kappa = np.asarray(cal.kappa(spacings), dtype=float)
@@ -344,7 +329,7 @@ def verify_recipe(
     achieved_omega = omega_bare + np.diff(delta_comp) * 2.0 * math.pi / oc.wavelength_mm
     omega_rel_dev = achieved_omega / params.omega - 1.0
 
-    detuning_dev = recipe.achieved_detuning - target_det
+    detuning_dev = recipe.achieved_detuning_mm1 - target_det
     in_validity = bool(
         np.all((spacings >= cal.d_min - 1e-12) & (spacings <= cal.d_max + 1e-12))
     )
@@ -356,7 +341,6 @@ def verify_recipe(
         omega_rel_dev=omega_rel_dev,
         uncompensated_omega=omega_bare,
         target_detuning=target_det,
-        achieved_detuning=recipe.achieved_detuning.copy(),
         detuning_dev=detuning_dev,
         spacing_in_validity=in_validity,
     )
@@ -368,25 +352,30 @@ def verify_recipe(
 
 def format_recipe(recipe: LatticeRecipe) -> str:
     """The recipe table: the guide index, then the columns with a NaN step quantity empty."""
-    table = np.column_stack([getattr(recipe, f.name) for f in fields(recipe)[1:]])
+    table = np.column_stack([getattr(recipe, name) for name in RECIPE_COLUMNS[1:]])
     # + 0.0 folds IEEE -0.0 into +0.0
     rows = format_rows(table + 0.0, blank=np.isnan(table)).splitlines()
     return "\t".join(RECIPE_COLUMNS) + "\n" + "".join(f"{n}\t{row}\n" for n, row in enumerate(rows))
 
 
 def parse_recipe(text: str) -> LatticeRecipe:
+    """The recipe of a ``format_recipe`` table, as ``design`` shapes it: at least 2 guide
+    rows, numbered in order, with no empty field but the last row's step quantities."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or tuple(lines[0].split("\t")) != RECIPE_COLUMNS:
         raise ValueError("not a recipe table: bad or missing header row")
     rows = [ln.split("\t") for ln in lines[1:]]
-    n_guides = len(rows)
-    cols = {name: np.full(n_guides, np.nan) for name in RECIPE_COLUMNS[1:]}
+    if len(rows) < 2:
+        raise ValueError(f"a recipe table needs at least 2 guide rows, got {len(rows)}")
+    cols = {f.name: np.full(len(rows), np.nan) for f in fields(LatticeRecipe)}
     for i, row in enumerate(rows):
         if len(row) != len(RECIPE_COLUMNS):
             raise ValueError(f"recipe row {i} has {len(row)} fields, expected {len(RECIPE_COLUMNS)}")
         if int(row[0]) != i:
             raise ValueError(f"recipe rows out of order at row {i}")
-        for name, value in zip(RECIPE_COLUMNS[1:], row[1:]):
+        for f, value in zip(fields(LatticeRecipe), row[1:]):
             if value:
-                cols[name][i] = float(value)
-    return LatticeRecipe(n_guides, *cols.values())   # the columns in field order
+                cols[f.name][i] = float(value)
+            elif not (f.metadata.get("step") and i == len(rows) - 1):
+                raise ValueError(f"recipe row {i}: {f.name} is empty")
+    return LatticeRecipe(**cols)

@@ -28,10 +28,10 @@ the table's range, and overflows at e = -298), or not finite goes through
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
@@ -208,43 +208,51 @@ def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> Iterato
 
 
 @contextmanager
-def _replacing(path: Path) -> Iterator[Path]:
-    """A temporary path in ``path``'s directory, renamed onto ``path`` when the block ends.
+def new_files() -> Iterator[Callable[..., IO]]:
+    """``create(path, binary=False)``: a temporary next to ``path``, open for writing.
 
-    On any exception the temporary file is removed and ``path`` is left as
-    it was, so no file is ever cut off.  The temporary is created by a plain
-    ``open``, so the file gets the mode that gives.
+    When the block ends, every temporary is closed, and only then is each
+    renamed onto its path, the last created first.  On any exception before
+    the renames, a failed write or close among them, every temporary is
+    removed and no path changes: no file is ever cut off, and the files of a
+    block appear together or not at all.  A failed rename can still leave
+    the files renamed before it.  Text is ASCII with no newline translation,
+    so a file holds ``\\n`` line ends on every platform.  The temporaries are
+    created by a plain ``open``, so a file gets the mode that gives.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    opened: list[tuple[Path, Path, IO]] = []
+
+    def create(path: Path, binary: bool = False) -> IO:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        f = tmp.open("wb") if binary else tmp.open("w", encoding="ascii", newline="")
+        opened.append((tmp, path, f))
+        return f
+
     try:
-        yield tmp
-        os.replace(tmp, path)
+        yield create
+        for _, _, f in opened:
+            f.close()   # flushed: every byte is written before any file is renamed
+        for tmp, path, _ in reversed(opened):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _, f in opened:
+            with suppress(OSError):
+                f.close()
+            tmp.unlink(missing_ok=True)
         raise
 
 
-@contextmanager
-def text_file(path: Path) -> Iterator[TextIO]:
-    """``path`` open for ASCII text; it appears whole when the block ends, or not at all (``_replacing``).
-
-    No newline translation: the file holds ``\\n`` line ends on every platform.
-    """
-    with _replacing(path) as tmp, tmp.open("w", encoding="ascii", newline="") as f:
-        yield f
-
-
 def write_text(path: Path, text: str | Iterable[str]) -> None:
-    """Write a string, or an iterable of blocks one after another, through ``text_file``.
+    """Write a string, or an iterable of blocks one after another, through ``new_files``.
 
     A formatter's iterator is consumed as the file is written, one block at a time.
     """
-    with text_file(path) as f:
-        f.writelines([text] if isinstance(text, str) else text)
+    with new_files() as create:
+        create(path).writelines([text] if isinstance(text, str) else text)
 
 
 def write_bytes(path: Path, blob: bytes) -> None:
-    """Write ``blob``; the file appears at ``path`` whole, or not at all (``_replacing``)."""
-    with _replacing(path) as tmp:
-        tmp.write_bytes(blob)
+    """Write ``blob``; the file appears at ``path`` whole, or not at all (``new_files``)."""
+    with new_files() as create:
+        create(path, binary=True).write(blob)

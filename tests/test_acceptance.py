@@ -203,21 +203,21 @@ def test_criterion_8_design_roundtrip():
             abs(spacings.min() - 6.6) < 1e-9 and abs(spacings.max() - 14.0) < 1e-9
         )
         speeds_ok = bool(
-            np.all(recipe.writing_speed >= 10.0) and np.all(recipe.writing_speed <= 14.0)
+            np.all(recipe.writing_speed_mm_s >= 10.0) and np.all(recipe.writing_speed_mm_s <= 14.0)
         )
         verify_ok = verify_recipe(recipe, base, cal, oc).max_rel_deviation < 1e-6
         det_ok = True
         for omega0 in (-0.08, -0.04, 0.04, 0.08):
             p = RabiParams(omega0=omega0, omega=OMEGA, g=G, n_trunc=15)
             r = design(p, cal, oc, 15)
-            speed_mod = np.abs(r.achieved_detuning) * oc.wavelength_mm / (2 * np.pi) / oc.dn_dv
+            speed_mod = np.abs(r.achieved_detuning_mm1) * oc.wavelength_mm / (2 * np.pi) / oc.dn_dv
             det_ok &= bool(speed_mod.max() <= 0.3)
             det_ok &= verify_recipe(r, p, cal, oc).max_rel_deviation < 1e-6
     ok = span_ok and speeds_ok and det_ok and verify_ok and watch.elapsed < 1.0
     report(
         8, ok,
         f"spacings [{spacings.min():.4f}, {spacings.max():.4f}] um, "
-        f"speeds [{recipe.writing_speed.min():.3f}, {recipe.writing_speed.max():.3f}] mm/s", watch,
+        f"speeds [{recipe.writing_speed_mm_s.min():.3f}, {recipe.writing_speed_mm_s.max():.3f}] mm/s", watch,
     )
     assert span_ok
     assert speeds_ok

@@ -81,6 +81,16 @@ def test_simulate_writes_timeseries_and_map(config_path, tmp_path):
     assert np.abs(ts[:, 1] + ts[:, 2] - 1.0).max() < 1e-10
 
 
+def run_under_file_size_limit(limit, *args):
+    """The CLI in a child process whose files cannot grow past ``limit`` bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "rabichain.cli", *args],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+
+
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
 def test_a_write_past_the_file_size_limit_leaves_the_earlier_file(config_path, tmp_path):
     out = tmp_path / "out"
@@ -91,17 +101,51 @@ def test_a_write_past_the_file_size_limit_leaves_the_earlier_file(config_path, t
     assert (out / "intensity_map.tsv").stat().st_mode & 0o777 == 0o666 & ~umask   # a plain open's
     limit = len(earlier) // 2   # timeseries.tsv fits, the map does not
     assert (out / "timeseries.tsv").stat().st_size < limit
-    proc = subprocess.run(
-        [sys.executable, "-m", "rabichain.cli", "simulate", "--config", str(config_path),
-         "--out", str(out)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
-    )
+    proc = run_under_file_size_limit(limit, "simulate", "--config", str(config_path), "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert "File too large" in proc.stderr
     assert (out / "intensity_map.tsv").read_bytes() == earlier
     assert sorted(p.name for p in out.iterdir()) == ["intensity_map.tsv", "timeseries.tsv"]
+
+
+def earlier_and_other(tmp_path, command, text, other_text, *flags):
+    """``command`` on ``text`` into out/ and on ``other_text`` into other/: the files of both."""
+    for name, config_text in (("out", text), ("other", other_text)):
+        (tmp_path / f"{name}.cfg").write_text(config_text)
+        assert main([command, "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / name), *flags]) == 0
+    return [{p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} for name in ("out", "other")]
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_a_simulate_whose_table_fails_to_write_leaves_none_of_its_new_files(tmp_path):
+    # a 829 B raster and a 4,614 B timeseries: the raster fits under the limit, the table does not
+    text = (DSC_CONFIG.replace("n_trunc = 64", "n_trunc = 16").replace("t_max = 60", "t_max = 5")
+            + "\n[output]\noutputs = timeseries\n")
+    other_text = text.replace("g = 0.15", "g = 0.14")
+    earlier, other = earlier_and_other(tmp_path, "simulate", text, other_text, "--image")
+    limit = len(other["timeseries.tsv"]) // 2
+    assert len(other["intensity_map.pgm"]) < limit
+    assert other["intensity_map.pgm"] != earlier["intensity_map.pgm"]
+    proc = run_under_file_size_limit(limit, "simulate", "--config", str(tmp_path / "other.cfg"),
+                                     "--out", str(tmp_path / "out"), "--image")
+    assert proc.returncode == 2, proc.stderr
+    assert "File too large" in proc.stderr
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == earlier
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_a_design_whose_recipe_fails_to_write_leaves_none_of_its_new_files(tmp_path):
+    other_text = DSC_CONFIG.replace("g = 0.15", "g = 0.14")
+    earlier, other = earlier_and_other(tmp_path, "design", DSC_CONFIG, other_text)
+    limit = len(other["recipe.tsv"]) - 1   # the report fits, the recipe does not
+    assert len(other["recipe_report.txt"]) < limit
+    assert other["recipe_report.txt"] != earlier["recipe_report.txt"]
+    proc = run_under_file_size_limit(limit, "design", "--config", str(tmp_path / "other.cfg"),
+                                     "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert "File too large" in proc.stderr
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == earlier
 
 
 # omega0 = 0.08 and a state on both chains; at n_trunc 320 the chains reach 160 sites, so

@@ -1,6 +1,6 @@
 """Calibration inversion, gradient formula, and the full design procedure."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -126,12 +126,12 @@ def test_reference_design_spacings():
 
 def test_reference_design_speeds_and_uniformity():
     recipe = design(DSC, CAL, OC, 15)
-    assert np.all(recipe.writing_speed >= 10.0)
-    assert np.all(recipe.writing_speed <= 14.0)
+    assert np.all(recipe.writing_speed_mm_s >= 10.0)
+    assert np.all(recipe.writing_speed_mm_s <= 14.0)
     # compensated gradient uniform at the target
-    assert recipe.achieved_omega[:-1] == pytest.approx(0.23, rel=1e-12)
+    assert recipe.achieved_omega_mm1[:-1] == pytest.approx(0.23, rel=1e-12)
     # effective step product n_eff * d uniform at omega R lambda / (2 pi)
-    product = recipe.achieved_omega[:-1] * OC.radius_mm * OC.wavelength_mm / (2 * np.pi)
+    product = recipe.achieved_omega_mm1[:-1] * OC.radius_mm * OC.wavelength_mm / (2 * np.pi)
     assert np.abs(product / product[0] - 1.0).max() < 1e-6
 
 
@@ -145,12 +145,12 @@ def test_detuning_modulation_magnitude():
     p = RabiParams(omega0=0.08, omega=0.23, g=0.15, n_trunc=15)
     recipe = design(p, CAL, OC, 15)
     # index offset (omega0/2) lambda / (2 pi) = 4.03e-6, alternating sign
-    det_index = recipe.achieved_detuning * OC.wavelength_mm / (2 * np.pi)
+    det_index = recipe.achieved_detuning_mm1 * OC.wavelength_mm / (2 * np.pi)
     assert np.abs(det_index).max() == pytest.approx(4.03e-6, abs=1e-8)
     speed_offset = det_index / OC.dn_dv
     assert np.abs(speed_offset).max() == pytest.approx(0.2687, abs=1e-3)
     assert np.abs(speed_offset).max() <= 0.3
-    signs = np.sign(recipe.achieved_detuning)
+    signs = np.sign(recipe.achieved_detuning_mm1)
     assert np.array_equal(signs, (-1.0) ** np.arange(15))
 
 
@@ -183,16 +183,7 @@ def test_verify_flags_perturbed_spacing():
     recipe = design(DSC, CAL, OC, 15)
     spacing = recipe.spacing_um.copy()
     spacing[4] += 0.5
-    perturbed = LatticeRecipe(
-        n_guides=recipe.n_guides,
-        position_um=recipe.position_um,
-        spacing_um=spacing,
-        delta_n_eff=recipe.delta_n_eff,
-        writing_speed=recipe.writing_speed,
-        achieved_kappa=recipe.achieved_kappa,
-        achieved_omega=recipe.achieved_omega,
-        achieved_detuning=recipe.achieved_detuning,
-    )
+    perturbed = replace(recipe, spacing_um=spacing)
     report = verify_recipe(perturbed, DSC, CAL, OC)
     expected = np.exp(-CAL.gamma * 0.5) - 1.0  # about -8.5 percent
     assert report.kappa_rel_dev[4] == pytest.approx(expected, rel=1e-9)
@@ -202,15 +193,11 @@ def test_verify_flags_perturbed_spacing():
 def test_verify_uncompensated_trend_is_proportional_to_spacing():
     recipe = design(DSC, CAL, OC, 15)
     # zero out the gradient compensation, keep only the detuning part (none here)
-    stripped = LatticeRecipe(
-        n_guides=recipe.n_guides,
-        position_um=recipe.position_um,
-        spacing_um=recipe.spacing_um,
+    stripped = replace(
+        recipe,
         delta_n_eff=np.zeros(recipe.n_guides),
-        writing_speed=np.full(recipe.n_guides, OC.v_base),
-        achieved_kappa=recipe.achieved_kappa,
-        achieved_omega=recipe.achieved_omega,
-        achieved_detuning=np.zeros(recipe.n_guides),
+        writing_speed_mm_s=np.full(recipe.n_guides, OC.v_base),
+        achieved_detuning_mm1=np.zeros(recipe.n_guides),
     )
     report = verify_recipe(stripped, DSC, CAL, OC)
     d = recipe.spacing_um[:-1]
@@ -234,11 +221,8 @@ def test_recipe_roundtrip():
     text = format_recipe(recipe)
     back = parse_recipe(text)
     assert back.n_guides == recipe.n_guides
-    for name in (
-        "position_um", "spacing_um", "delta_n_eff", "writing_speed",
-        "achieved_kappa", "achieved_omega", "achieved_detuning",
-    ):
-        a, b = getattr(recipe, name), getattr(back, name)
+    for f in fields(LatticeRecipe):
+        a, b = getattr(recipe, f.name), getattr(back, f.name)
         assert np.allclose(a, b, rtol=1e-10, atol=1e-18, equal_nan=True)
     report = verify_recipe(back, p, CAL, OC)
     assert report.max_rel_deviation < 1e-6
@@ -246,13 +230,13 @@ def test_recipe_roundtrip():
 
 def test_format_recipe_matches_a_per_value_rendering():
     recipe = design(DSC, CAL, OC, 15)
-    columns = [np.array(getattr(recipe, f.name)) for f in fields(recipe)[1:]]
-    columns[0][4] = np.nan      # an empty cell outside the last row
-    columns[2][0] = -0.0        # written as +0.0
-    columns[3][2] = 1e-300      # a 3-digit exponent
-    recipe = LatticeRecipe(recipe.n_guides, *columns)
+    columns = {f.name: np.array(getattr(recipe, f.name)) for f in fields(LatticeRecipe)}
+    columns["position_um"][4] = np.nan      # an empty cell outside the last row
+    columns["delta_n_eff"][0] = -0.0        # written as +0.0
+    columns["writing_speed_mm_s"][2] = 1e-300   # a 3-digit exponent
+    recipe = LatticeRecipe(**columns)
     lines = ["\t".join(RECIPE_COLUMNS)] + [
-        "\t".join([str(n)] + ["" if np.isnan(c[n]) else f"{c[n] + 0.0:.11e}" for c in columns])
+        "\t".join([str(n)] + ["" if np.isnan(c[n]) else f"{c[n] + 0.0:.11e}" for c in columns.values()])
         for n in range(recipe.n_guides)
     ]
     text = format_recipe(recipe)
@@ -261,6 +245,35 @@ def test_format_recipe_matches_a_per_value_rendering():
     assert "-0.0" not in text
 
 
+def test_recipe_columns_are_the_fields_and_n_guides_is_their_length():
+    assert RECIPE_COLUMNS == ("guide", *(f.name for f in fields(LatticeRecipe)))
+    columns = {f.name: np.arange(4.0) for f in fields(LatticeRecipe)}
+    assert LatticeRecipe(**columns).n_guides == 4
+    with pytest.raises(ValueError, match=r"position_um must have shape \(4,\), got \(4, 2\)"):
+        LatticeRecipe(**{**columns, "position_um": np.zeros((4, 2))})
+    with pytest.raises(ValueError, match=r"achieved_omega_mm1 must have shape \(4,\), got \(3,\)"):
+        LatticeRecipe(**{**columns, "achieved_omega_mm1": np.zeros(3)})
+
+
 def test_parse_recipe_rejects_garbage():
     with pytest.raises(ValueError, match="header"):
         parse_recipe("hello\n1\t2\n")
+
+
+@pytest.mark.parametrize("guides", [0, 1])
+def test_parse_recipe_refuses_fewer_than_two_guides(guides):
+    text = format_recipe(design(DSC, CAL, OC, 2))
+    with pytest.raises(ValueError, match=f"at least 2 guide rows, got {guides}"):
+        parse_recipe("".join(text.splitlines(keepends=True)[:1 + guides]))
+
+
+def test_parse_recipe_refuses_an_empty_field_but_the_last_rows_step_quantities():
+    rows = [row.split("\t") for row in format_recipe(design(DSC, CAL, OC, 15)).splitlines()]
+    assert [name for name, cell in zip(RECIPE_COLUMNS, rows[-1]) if not cell] == [
+        "spacing_um", "achieved_kappa_mm1", "achieved_omega_mm1"]
+    for i, j in [(3, 1), (0, 4), (14, 1), (14, 7), (7, 2), (7, 6)]:
+        emptied = [row.copy() for row in rows]
+        emptied[1 + i][j] = ""
+        text = "".join("\t".join(row) + "\n" for row in emptied)
+        with pytest.raises(ValueError, match=f"recipe row {i}: {RECIPE_COLUMNS[j]} is empty"):
+            parse_recipe(text)
