@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,9 +107,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
 
     # Two stages: this thread evolves block k+1 while one writer thread formats and writes
     # block k.  The files, the raster too, are renamed into place only when all are written.
-    with ExitStack() as stack:
-        blocks = trajectory_blocks(cfg.params, cfg.initial, t_grid)   # a failed eigensolve writes nothing
-        create = stack.enter_context(new_files())
+    blocks = trajectory_blocks(cfg.params, cfg.initial, t_grid)   # a failed eigensolve writes nothing
+    with new_files() as create, ThreadPoolExecutor(max_workers=1) as writer:
         timeseries = tsv_map = None
         if "timeseries" in cfg.outputs:
             timeseries = create(out_dir / "timeseries.tsv")
@@ -125,7 +123,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
             if tsv_map is not None:
                 tsv_map.writelines(intensity_map_rows(n, t_grid[cols], pop))
 
-        writer = stack.enter_context(ThreadPoolExecutor(max_workers=1))
         written = None
         for block in blocks:
             cols, pop = block[:2]

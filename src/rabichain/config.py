@@ -63,8 +63,8 @@ LARGEST_BLOCK = BLOCK_POINTS + MIN_TAIL_POINTS - 1
 # thread formats while the next block is evolved, its P(n, t) per site and
 # point of the largest block (8); and the text block being encoded by
 # output.format_rows, _BLOCK_VALUES at most, each held as a float in the
-# block (8), five float or int64 arrays (the live columns' copy, |x|, e, m
-# and the digits; 40), two bool masks (2), and its 20-byte cell of uint32
+# block (8), five float or int64 arrays (|x|, e, m, its rounding and the
+# digits; 40), two bool masks (2), and its 20-byte cell of uint32
 # words, the cell's keep mask, the kept bytes and their str (80).
 MAP_CELL_BYTES = 24
 WRITTEN_CELL_BYTES = 8

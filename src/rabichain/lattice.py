@@ -360,7 +360,8 @@ def format_recipe(recipe: LatticeRecipe) -> str:
 
 def parse_recipe(text: str) -> LatticeRecipe:
     """The recipe of a ``format_recipe`` table, as ``design`` shapes it: at least 2 guide
-    rows, numbered in order, with no empty field but the last row's step quantities."""
+    rows, numbered in order, every field finite and none empty but the last row's step
+    quantities."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or tuple(lines[0].split("\t")) != RECIPE_COLUMNS:
         raise ValueError("not a recipe table: bad or missing header row")
@@ -375,7 +376,9 @@ def parse_recipe(text: str) -> LatticeRecipe:
             raise ValueError(f"recipe rows out of order at row {i}")
         for f, value in zip(fields(LatticeRecipe), row[1:]):
             if value:
-                cols[f.name][i] = float(value)
+                cols[f.name][i] = number = float(value)
+                if not math.isfinite(number):
+                    raise ValueError(f"recipe row {i}: {f.name} is not finite: {value!r}")
             elif not (f.metadata.get("step") and i == len(rows) - 1):
                 raise ValueError(f"recipe row {i}: {f.name} is empty")
     return LatticeRecipe(**cols)

@@ -39,7 +39,7 @@ if TYPE_CHECKING:
     from .dynamics import Trajectory
 
 _BLOCK_VALUES = 1 << 16   # values encoded at a time in _table_text
-_ZERO = "0.00000000000e+00"   # the text of +0.0, written literally for dead columns
+_ZERO = "0.00000000000e+00"   # the text of +0.0, written literally past the given columns
 
 # A value's cell is 20 bytes, five native-order uint32 words:
 #   "-" d0 "." d1 | d2..d5 | d6..d9 | d10 d11 "e" sign | E2 E1 E0 separator
@@ -118,24 +118,21 @@ def _rows_text(width: int, *columns: np.ndarray) -> Iterator[str]:
 
     ``columns`` are 1-D or 2-D float arrays with one entry (or row) per
     table row, put side by side to give the first columns of a ``width``
-    column table; the columns past them hold +0.0.  A text block holds
-    _BLOCK_VALUES // width rows, and every value is written by
-    ``format_rows``, except the trailing columns of a text block that hold
-    +0.0 (by bit pattern, so -0.0 is still encoded) in every row: they are
-    appended to each line as literal text.  A text block is formatted only
-    when the one before it has been consumed, so a writer never holds more
-    than one block's text.
+    column table; the columns past them hold +0.0 (for the map, the sites
+    past the reach, which ``dynamics`` never computes).  A text block holds
+    _BLOCK_VALUES // width rows; every given value is written by
+    ``format_rows``, and each column past them is appended to each line as
+    the literal ``_ZERO``, the text ``format_rows`` gives +0.0.  A text
+    block is formatted only when the one before it has been consumed, so a
+    writer never holds more than one block's text.
     """
     rows = columns[0].shape[0]
     step = max(1, _BLOCK_VALUES // width)
     for start in range(0, rows, step):
         chunk = np.column_stack([c[start:start + step] for c in columns])
-        live = np.flatnonzero(chunk.view(np.uint64).any(axis=0))
-        live_width = int(live[-1]) + 1 if live.size else 0
-        text = format_rows(chunk[:, :live_width])
-        if live_width < width:
-            text = text.replace("\n", "\t" * (live_width > 0)
-                                + "\t".join([_ZERO] * (width - live_width)) + "\n")
+        text = format_rows(chunk)
+        if chunk.shape[1] < width:
+            text = text.replace("\n", ("\t" + _ZERO) * (width - chunk.shape[1]) + "\n")
         yield text
         del text   # on resuming, before the next block is encoded
 
@@ -188,16 +185,15 @@ def intensity_map_pgm(pop: np.ndarray, n_trunc: int) -> bytes:
     first sites of the ``n_trunc``; the sites past it are empty.  Rotated a
     quarter turn relative to the text table so that propagation distance
     runs horizontally: width = grid points, height = n_trunc sites, site 0
-    on the top row.  Only the sites the state reaches are scaled: every
-    site past them is exactly 0.0 and so byte 0.
+    on the top row.  Only the given sites are scaled: every site past them
+    is byte 0, as is the whole raster of an all-zero or empty map.
     """
-    touched = np.flatnonzero(pop.any(axis=1))
-    reach = int(touched[-1]) + 1 if touched.size else 0
-    live = pop[:reach] * (255.0 / pop[:reach].max() if reach else 0.0)   # peak > 0 when reach > 0
+    peak = pop.max(initial=0.0)
+    live = pop * (255.0 / peak if peak else 0.0)
     np.rint(live, out=live)
     np.clip(live, 0, 255, out=live)
     data = np.zeros((n_trunc, pop.shape[1]), dtype=np.uint8)
-    data[:reach] = live
+    data[:pop.shape[0]] = live
     header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
     return header + data.tobytes()
 

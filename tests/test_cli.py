@@ -669,6 +669,38 @@ def test_a_forced_openblas_core_is_read_and_takes_the_full_product(core):
     assert read == [core, 1024]
 
 
+BLOCK_LAYOUT_SCRIPT = """import json
+import numpy as np
+from rabichain import blas, dynamics
+from rabichain.model import FullState, RabiParams
+cases, differ = 0, []
+with blas.one_thread():
+    for n, g in ((300, 0.4), (1024, 0.15)):
+        params = RabiParams(omega0=0.04, omega=0.23, g=g, n_trunc=n)
+        e0 = FullState.basis_state("e", 0, n)
+        for points in (1025, 1088, 2049):
+            dynamics.BLOCK_POINTS = 1024
+            blocked = dynamics.run_trajectory(params, e0, (points - 1) * 0.1, 0.1)
+            dynamics.BLOCK_POINTS = points + 1   # one block: the whole-grid product
+            assert len(dynamics._grid_blocks(points)) == 1
+            whole = dynamics.run_trajectory(params, e0, (points - 1) * 0.1, 0.1)
+            for name in ("pnt", "p_e", "p_r", "mean_n"):
+                cases += 1
+                if not np.array_equal(getattr(blocked, name), getattr(whole, name)):
+                    differ.append([n, points, name])
+print(json.dumps([blas.numpy_core(), cases, differ]))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_the_block_layout_keeps_the_whole_grid_bits_on_a_forced_openblas_core(core):
+    # the blocks start at multiples of 1024 and a short tail joins the block before it, so
+    # gemm and gemv sum every cell in the order of the whole-grid call: checked on the
+    # kernels of the other cores this OpenBLAS can run, at 1025, 1088 and 2049 points
+    read = run_fresh(BLOCK_LAYOUT_SCRIPT, env={"OPENBLAS_CORETYPE": core})
+    assert read == [core, 24, []]
+
+
 @needs_openblas
 def test_simulate_files_do_not_depend_on_the_cpu_count_or_the_blas_threads(tmp_path):
     # a map over two blocks at n_trunc 300: evolved at 2 BLAS threads, 1,436 of its 2,049

@@ -1,5 +1,6 @@
 """Calibration inversion, gradient formula, and the full design procedure."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -276,4 +277,16 @@ def test_parse_recipe_refuses_an_empty_field_but_the_last_rows_step_quantities()
         emptied[1 + i][j] = ""
         text = "".join("\t".join(row) + "\n" for row in emptied)
         with pytest.raises(ValueError, match=f"recipe row {i}: {RECIPE_COLUMNS[j]} is empty"):
+            parse_recipe(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_recipe_refuses_a_non_finite_field(value):
+    rows = [row.split("\t") for row in format_recipe(design(DSC, CAL, OC, 15)).splitlines()]
+    assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row if cell)
+    for i, name in [(2, "position_um"), (3, "writing_speed_mm_s"), (14, "spacing_um")]:
+        changed = [row.copy() for row in rows]
+        changed[1 + i][RECIPE_COLUMNS.index(name)] = value
+        text = "".join("\t".join(row) + "\n" for row in changed)
+        with pytest.raises(ValueError, match=f"recipe row {i}: {name} is not finite: '{value}'"):
             parse_recipe(text)

@@ -249,3 +249,8 @@ def test_pgm_of_the_reached_sites_is_the_whole_map_raster():
     e0 = FullState.basis_state("e", 0, 48)
     traj = run_trajectory(RabiParams(omega0=0.1, omega=0.23, g=0.15, n_trunc=48), e0, 30.0, 0.5)
     assert intensity_map_pgm(traj.pnt.T, 48) == whole_map_pgm(traj.pnt)
+
+
+def test_pgm_of_a_map_with_no_positive_peak_is_all_zero():
+    for pop in (np.zeros((3, 5)), np.zeros((0, 5))):   # all-zero, and no site given
+        assert intensity_map_pgm(pop, 4) == b"P5\n5 4\n255\n" + bytes(20)
