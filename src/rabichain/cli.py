@@ -2,7 +2,8 @@
 
 All commands are pure functions of the configuration file; repeated runs
 produce byte-identical outputs.  Exit codes: 0 success, 1 usage/config
-error, 2 numeric/feasibility error, 3 validation failure.
+error, 2 numeric/feasibility error, 3 validation failure, 128 + the signal
+number when a SIGINT (130) or SIGTERM (143) stops the command.
 """
 
 from __future__ import annotations
@@ -10,8 +11,11 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -249,6 +253,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stop(signum, frame):
+    """End the command with exit code 128 + signum; every ``new_files`` block removes its temporaries."""
+    for s in (signal.SIGINT, signal.SIGTERM):   # a second signal cannot cut the clean-up short
+        signal.signal(s, signal.SIG_IGN)
+    print(f"stopped by {signal.Signals(signum).name}", file=sys.stderr)
+    raise SystemExit(128 + signum)
+
+
+@contextmanager
+def _stopped_by_signals():
+    """SIGINT and SIGTERM call ``_stop`` in the block, on the main thread; the old handlers after."""
+    on_main = threading.current_thread() is threading.main_thread()   # only it can set handlers
+    previous = {s: signal.signal(s, _stop) for s in (signal.SIGINT, signal.SIGTERM)} if on_main else {}
+    try:
+        yield
+    finally:
+        for s, handler in previous.items():   # None: a handler not set from Python
+            signal.signal(s, signal.SIG_DFL if handler is None else handler)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; its exit code.
 
@@ -259,10 +283,11 @@ def main(argv: list[str] | None = None) -> int:
     numpy's OpenBLAS loaded at one thread and started no worker; one_thread
     holds any other caller to one thread and restores its count after.  A numpy
     whose OpenBLAS lacks the LAPACK the eigensolves call fails them with exit 2.
+    On the main thread a SIGINT or SIGTERM ends the command through ``_stop``.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    with one_thread():
+    with _stopped_by_signals(), one_thread():
         try:
             if args.command == "validate":
                 return cmd_validate()

@@ -21,10 +21,13 @@ the chains over the time grid one block at a time and writes the chain
 sites back onto the qubit branches, a_n and b_n, with
 ``model.to_branches``, the inverse that the decompose/recompose
 round-trip checks.  :func:`trajectory_blocks` yields the observables of
-each block, all the CLI reads: ``simulate`` writes them and a ``sweep``
-point folds its extremes over them.  :func:`run_trajectory` collects
-them into a :class:`Trajectory`, which ``validate`` reads.
-:func:`chain_reference_state` runs the path over the one-point grid {t}.
+each block, all the CLI reads: ``simulate`` writes them, a ``sweep``
+point folds its extremes over them, and ``validate`` folds its sup norms
+over them.  :func:`chain_reference_state` runs the path over the
+one-point grid {t}.  :func:`run_trajectory` collects the blocks into a
+:class:`Trajectory`; nothing in the package calls it, and it is kept for
+library users and the tests until the whole-trajectory API leaves the
+package (ROADMAP.md, item 6).
 The observables P(n), P_e, P_r and <n> have one implementation,
 :func:`observables`, for the amplitudes of one state, shape (n,), or of a
 block of times, shape (n, nt).
@@ -239,7 +242,7 @@ def _check_sites(params: RabiParams, initial: FullState) -> None:
         )
 
 
-def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
+def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray, built=()):
     """An iterator of (cols, amps) for each block ``cols`` of ``t_grid``, in order.
 
     amps holds the amplitudes a_n, b_n at the times t_grid[cols] on the
@@ -247,13 +250,14 @@ def _amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndarray):
     past reach is exactly empty (module docstring).  Each chain is built
     and decomposed once, by this call, so a failed eigensolve raises here
     and not at the first block; each eigenbasis is freed before the next
-    chain is built.
+    chain is built.  A chain of ``params`` the caller has built already,
+    passed in ``built``, is used as it is.
     """
     _check_sites(params, initial)
-    chains = {}
+    given, chains = {h.chain: h for h in built}, {}
     for part in decompose(initial):
         if part.weight != 0.0:
-            h = build_chain(params, part.chain)
+            h = given.get(part.chain) or build_chain(params, part.chain)
             chains[part.chain] = _chain_evolution(h, h.eigenvectors.T @ part.amp)
             del h
     return ((cols, to_branches({chain: evolve(t_grid[cols]) for chain, evolve in chains.items()}))
@@ -281,7 +285,7 @@ def _observed(blocks, initial: FullState):
 
 @dataclass
 class Trajectory:
-    """Time-gridded record of a propagated state and its observables.
+    """Time-gridded record of a propagated state and its observables, from :func:`run_trajectory`.
 
     pnt[k, n] is the photon-number distribution P(n, t_k); p_e, p_r and
     mean_n are per-grid-point scalars.  ``truncation_flagged`` is true when
@@ -289,7 +293,8 @@ class Trajectory:
     grid (run is reported, not aborted: finite arrays are a physical
     feature of the 15-guide device).  No state is kept:
     ``chain_reference_state(params, initial, t_grid[k])`` gives the state
-    at a grid time.
+    at a grid time.  Kept, with run_trajectory, for library users and the
+    tests until item 6 of ROADMAP.md; the package reads the blocks.
     """
 
     t_grid: np.ndarray
@@ -358,7 +363,8 @@ def run_trajectory(params: RabiParams, initial: FullState, t_max: float, dt: flo
     Each non-empty parity chain is evolved independently with its cached
     spectral decomposition; observables are always computed on the
     recomposed full state.  The blocks of :func:`trajectory_blocks` fill
-    the map and the per-point arrays.
+    the map and the per-point arrays.  No package code calls it: it is kept
+    for library users and the tests until item 6 of ROADMAP.md.
     """
     t_grid = time_grid(t_max, dt)
     n, nt = params.n_trunc, t_grid.shape[0]

@@ -5,6 +5,10 @@ pass/fail line with the measured figure of merit.  The suite covers the
 dynamics invariants (unitarity, energy conservation, oracle equivalence,
 parity/sign symmetry, truncation convergence, periodicity) and the
 analytic ones (closed-form agreement with numerics, weak-coupling limit).
+
+Each property evolves all its times as one grid on the block stream that
+``simulate`` reads (``dynamics.trajectory_blocks``), so it builds each chain
+once; only the oracle draws, each a different model, run one time each.
 """
 
 from __future__ import annotations
@@ -16,14 +20,16 @@ import numpy as np
 
 from . import analytic
 from .dynamics import (
+    _amplitudes,
     build_chain,
     chain_reference_state,
     full_rabi_amplitudes,
     full_rabi_reference,
     observables,
-    run_trajectory,
+    time_grid,
+    trajectory_blocks,
 )
-from .model import FullState, ParityChain, RabiParams, decompose, recompose
+from .model import RECOMPOSE_WEIGHT_TOL, FullState, ParityChain, RabiParams, decompose, recompose
 
 DSC_PARAMS = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=64)
 
@@ -59,6 +65,20 @@ def _random_state(rng: np.random.Generator, n_trunc: int) -> FullState:
     return FullState(vec[:n_trunc], vec[n_trunc:])
 
 
+def _e0_blocks(params: RabiParams, t_grid: np.ndarray):
+    """(t, pop, p_e, p_r, mean_n) for each block of |e,0>'s trajectory on ``t_grid``."""
+    blocks = trajectory_blocks(params, FullState.basis_state("e", 0, params.n_trunc), t_grid)
+    return ((t_grid[cols], *observed) for cols, *observed in blocks)
+
+
+def _sup(deviations) -> float:
+    """The largest |entry| of the arrays ``deviations`` yields, folded one at a time; nan if any is."""
+    worst = 0.0
+    for dev in deviations:
+        worst = np.maximum(worst, np.abs(dev).max())
+    return float(worst)
+
+
 def check_roundtrip() -> PropertyResult:
     """decompose/recompose must invert each other bit-for-bit."""
     rng = np.random.default_rng(11)
@@ -78,15 +98,10 @@ def check_roundtrip() -> PropertyResult:
 
 def check_unitarity() -> PropertyResult:
     """Norm preserved along trajectories out to 300 mm."""
-    worst = 0.0
-    for params in (
-        DSC_PARAMS,
-        RabiParams(omega0=0.08, omega=0.23, g=0.15, n_trunc=64),
-        RabiParams(omega0=-0.2, omega=0.4, g=0.3, n_trunc=48),
-    ):
-        traj = run_trajectory(params, FullState.basis_state("e", 0, params.n_trunc), 300.0, 0.5)
-        norms = traj.pnt.sum(axis=1)
-        worst = max(worst, float(np.abs(norms - 1.0).max()))
+    models = (DSC_PARAMS, RabiParams(omega0=0.08, omega=0.23, g=0.15, n_trunc=64),
+              RabiParams(omega0=-0.2, omega=0.4, g=0.3, n_trunc=48))
+    worst = _sup(pop.sum(axis=0) - 1.0 for params in models
+                 for _, pop, *_ in _e0_blocks(params, time_grid(300.0, 0.5)))
     return PropertyResult("unitarity (t <= 300 mm)", worst < 1e-10, f"max |norm-1| = {worst:.3e}")
 
 
@@ -94,18 +109,16 @@ def check_energy_conservation() -> PropertyResult:
     """<H> constant along trajectories, relative to the spectral scale."""
     rng = np.random.default_rng(23)
     worst = 0.0
-    for params in (
-        DSC_PARAMS,
-        RabiParams(omega0=0.1, omega=0.3, g=0.2, n_trunc=32),
-    ):
+    for params in (DSC_PARAMS, RabiParams(omega0=0.1, omega=0.3, g=0.2, n_trunc=32)):
         state = _random_state(rng, params.n_trunc)
         chains = [build_chain(params, chain) for chain in ParityChain]   # C, F, as decompose
         scale = max(float(np.abs(h.eigenvalues).max()) for h in chains)
-        energies = []
-        for t in np.linspace(0.0, 120.0, 25):
-            parts = decompose(chain_reference_state(params, state, float(t)))
-            energies.append(sum(h.energy(part.amp) for h, part in zip(chains, parts)))
-        energies = np.array(energies)
+        [(_, amps)] = _amplitudes(params, state, np.linspace(0.0, 120.0, 25), chains)   # one block
+        amps = np.pad(amps, ((0, 0), (0, params.n_trunc - amps.shape[1]), (0, 0)))
+        energies = np.array([   # the state at each time, rebuilt from its column
+            sum(h.energy(part.amp) for h, part in
+                zip(chains, decompose(FullState(*column, norm_tol=RECOMPOSE_WEIGHT_TOL))))
+            for column in amps.transpose(2, 0, 1)])
         worst = max(worst, float(np.abs(energies - energies[0]).max() / scale))
     return PropertyResult("energy conservation", worst < 1e-9, f"max relative drift = {worst:.3e}")
 
@@ -125,11 +138,7 @@ def check_oracle_equivalence() -> PropertyResult:
         t = float(rng.uniform(0.0, 60.0))
         via_chain = chain_reference_state(params, state, t)
         via_full = full_rabi_reference(params, state, t)
-        diff = max(
-            float(np.abs(via_chain.amp_e - via_full.amp_e).max()),
-            float(np.abs(via_chain.amp_g - via_full.amp_g).max()),
-        )
-        worst = max(worst, diff)
+        worst = max(worst, _sup((via_chain.amp_e - via_full.amp_e, via_chain.amp_g - via_full.amp_g)))
     return PropertyResult(
         "chain vs brute-force oracle (50 draws)", worst < 1e-8,
         f"max amplitude diff = {worst:.3e}",
@@ -150,30 +159,24 @@ def check_sign_symmetry() -> PropertyResult:
 
 def check_truncation_convergence() -> PropertyResult:
     """Doubling n_trunc 32 -> 64 leaves observables unchanged at the reference parameters."""
-    t_max = 2.0 * 2.0 * math.pi / DSC_PARAMS.omega
-    small, large = (run_trajectory(replace(DSC_PARAMS, n_trunc=n), FullState.basis_state("e", 0, n),
-                                   t_max, 0.05) for n in (32, 64))
-    worst = max(float(np.abs(getattr(small, attr) - getattr(large, attr)).max())
-                for attr in ("p_e", "p_r", "mean_n"))
+    t_grid = time_grid(2.0 * 2.0 * math.pi / DSC_PARAMS.omega, 0.05)
+    small, large = (_e0_blocks(replace(DSC_PARAMS, n_trunc=n), t_grid) for n in (32, 64))
+    worst = _sup(a - b for one, two in zip(small, large) for a, b in zip(one[2:], two[2:]))
     return PropertyResult("truncation convergence 32 -> 64", worst < 1e-6, f"sup-norm change = {worst:.3e}")
 
 
 def check_lf_agreement() -> PropertyResult:
     """Closed forms match numerics over [0, 2T] and at 20 random times."""
     period = analytic.lf_period(DSC_PARAMS)
-    traj = run_trajectory(DSC_PARAMS, FullState.basis_state("e", 0, 64), 2.0 * period, 0.05)
-    dev_grid = max(
-        float(np.abs(traj.p_r - analytic.lf_revival(DSC_PARAMS, traj.t_grid)).max()),
-        float(np.abs(traj.mean_n - analytic.lf_mean_photon(DSC_PARAMS, traj.t_grid)).max()),
-    )
+    t_grid = time_grid(2.0 * period, 0.05)
+    dev_grid = _sup(dev for t, _, _, p_r, mean_n in _e0_blocks(DSC_PARAMS, t_grid) for dev in (
+        p_r - analytic.lf_revival(DSC_PARAMS, t), mean_n - analytic.lf_mean_photon(DSC_PARAMS, t)))
     # derivation gate: closed forms vs the brute-force oracle at random times
     times = np.random.default_rng(17).uniform(0.0, 2.0 * period, 20)
     initial = FullState.basis_state("e", 0, 64)
     _, _, pr_ref, n_ref = observables(*full_rabi_amplitudes(DSC_PARAMS, initial, times), initial)
-    dev_oracle = max(
-        float(np.abs(pr_ref - analytic.lf_revival(DSC_PARAMS, times)).max()),
-        float(np.abs(n_ref - analytic.lf_mean_photon(DSC_PARAMS, times)).max()),
-    )
+    dev_oracle = _sup((pr_ref - analytic.lf_revival(DSC_PARAMS, times),
+                       n_ref - analytic.lf_mean_photon(DSC_PARAMS, times)))
     worst = max(dev_grid, dev_oracle)
     return PropertyResult(
         "closed forms vs numerics (omega0 = 0)", worst < 1e-6,
@@ -185,11 +188,7 @@ def check_periodicity() -> PropertyResult:
     """Full revivals at t = T, 2T, 3T for the degenerate-qubit case."""
     params = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=48)
     period = analytic.lf_period(params)
-    initial = FullState.basis_state("e", 0, 48)
-    values = []
-    for k in (1, 2, 3):
-        evolved = chain_reference_state(params, initial, k * period)
-        values.append(float(observables(evolved.amp_e, evolved.amp_g, initial)[2]))
+    [(_, _, _, values, _)] = _e0_blocks(params, period * np.arange(1.0, 4.0))   # one block
     ok = all(v > 0.99 for v in values)
     return PropertyResult(
         "periodicity P_r(kT) > 0.99, k = 1..3", ok,
@@ -202,8 +201,8 @@ def check_jc_limit() -> PropertyResult:
     g = 0.001
     params = RabiParams(omega0=1.0, omega=1.0, g=g, n_trunc=32)
     t_max = math.pi / g
-    traj = run_trajectory(params, FullState.basis_state("e", 0, 32), t_max, t_max / 2000.0)
-    dev = float(np.abs(traj.p_e - analytic.jc_population(g, traj.t_grid)).max())
+    t_grid = time_grid(t_max, t_max / 2000.0)
+    dev = _sup(p_e - analytic.jc_population(g, t) for t, _, p_e, *_ in _e0_blocks(params, t_grid))
     return PropertyResult("weak-coupling (RWA) limit", dev < 1e-4, f"sup |P_e - cos^2(gt)| = {dev:.3e}")
 
 

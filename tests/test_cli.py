@@ -6,10 +6,13 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -223,6 +226,50 @@ def test_a_write_that_fails_in_the_middle_of_the_map_leaves_no_file_and_no_threa
     assert "File too large" in proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"rc": 2, "threads": 1}
     assert list(out.iterdir()) == []   # no temporary file, no cut-off file, no timeseries
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_a_signal_in_the_middle_of_the_map_leaves_no_file_and_no_traceback(tmp_path, signum):
+    # the map_export run, n_trunc 1024 over 6,001 points: the signal comes while the map is written
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG.replace("n_trunc = 64", "n_trunc = 1024").replace("t_max = 60", "t_max = 600"))
+    out = tmp_path / "out"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rabichain.cli", "simulate", "--config", str(cfg), "--out", str(out)],
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    deadline = time.monotonic() + 60
+    while not list(out.glob(".intensity_map.tsv.*.tmp")) and child.poll() is None:
+        assert time.monotonic() < deadline, "no temporary map file appeared"
+        time.sleep(0.002)
+    child.send_signal(signum)
+    _, stderr = child.communicate(timeout=60)
+    assert child.returncode == 128 + signum, stderr
+    assert stderr == f"stopped by {signal.Signals(signum).name}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_main_restores_the_signal_handlers_it_sets(config_path, tmp_path, monkeypatch):
+    before = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+    seen = {}
+
+    def simulate(*args):
+        seen.update({s: signal.getsignal(s) for s in before})
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_simulate", simulate)
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    assert seen == dict.fromkeys(before, cli._stop)
+    assert {s: signal.getsignal(s) for s in before} == before
+
+
+def test_main_off_the_main_thread_sets_no_signal_handler(config_path, tmp_path):
+    before = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        rc = pool.submit(main, ["simulate", "--config", str(config_path), "--out", str(tmp_path)]).result()
+    assert rc == 0
+    assert {s: signal.getsignal(s) for s in before} == before
 
 
 def test_simulate_is_deterministic(config_path, tmp_path):

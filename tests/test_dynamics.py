@@ -699,6 +699,17 @@ def test_revival_probability_keeps_the_bits_of_the_copied_overlap(n_trunc, point
         assert observables(a_e, a_g, initial)[2].tobytes() == (np.abs(copied) ** 2).tobytes()
 
 
+def test_chains_built_by_the_caller_give_the_bits_of_the_chains_built_here():
+    p = RabiParams(omega0=0.1, omega=0.3, g=0.2, n_trunc=32)
+    initial = random_full_state(np.random.default_rng(8), 32)
+    grid = np.linspace(0.0, 120.0, 25)
+    [(_, own)] = dynamics._amplitudes(p, initial, grid)
+    chains = [build_chain(p, chain) for chain in ParityChain]
+    with mock.patch.object(dynamics, "build_chain", side_effect=AssertionError("built again")):
+        [(_, given)] = dynamics._amplitudes(p, initial, grid, chains)
+    assert given.tobytes() == own.tobytes()
+
+
 def test_photon_distribution_sums_to_one():
     rng = np.random.default_rng(3)
     s = random_full_state(rng, 24)
