@@ -46,8 +46,12 @@ class ConfigError(ValueError):
 # Every run is a stream of blocks (dynamics.trajectory_blocks), here for
 # two occupied chains that reach every site.  Per run and n_trunc^2 (32):
 # the two chains' float eigenvector matrices, or the (reach, K') blocks an
-# evolution keeps (16), plus build_chain's two float verification
-# temporaries or a product's complex cast of a block, reach x K' <= n^2 (16).
+# evolution keeps (16), plus one transient (16): the complex cast of V in
+# build_chain's coefficient product V^T psi(0), the set-up peak (24 MB
+# traced at n_trunc 1024 with the other chain empty); build_chain's
+# n x live verification temporaries over the band of live columns it
+# checks (band <= n), two floats or the reconstruction residual's complex
+# cast of the band; or a product's complex cast of a block, reach x K' <= n^2.
 # Per run and site and point of the largest block (64): the complex
 # right-hand side, its two complex phase temporaries and the other chain's
 # complex product; to_branches' output next to both products; or the
@@ -57,16 +61,19 @@ MATRIX_BYTES = 32
 BLOCK_CELL_BYTES = 64
 POINT_BYTES = 8
 LARGEST_BLOCK = BLOCK_POINTS + MIN_TAIL_POINTS - 1
-# The output phase, which holds no table's text whole.  Per map cell, for
-# simulate --image only: the map P(n, t) of the reached sites (8) and the
-# PGM raster's float and uint8 copies (16).  Once: the block the writer
-# thread formats while the next block is evolved, its P(n, t) per site and
-# point of the largest block (8); and the text block being encoded by
-# output.format_rows, _BLOCK_VALUES at most, each held as a float in the
-# block (8), five float or int64 arrays (|x|, e, m, its rounding and the
-# digits; 40), two bool masks (2), and its 20-byte cell of uint32
-# words, the cell's keep mask, the kept bytes and their str (80).
-MAP_CELL_BYTES = 24
+# The output phase, which holds no table's text whole.  For simulate --image
+# only: per map cell, the map P(n, t) of the reached sites (8) and the PGM
+# file's one uint8 buffer, header and raster (1); and once, the float chunk
+# of the map that output.intensity_map_pgm scales at a time, _BLOCK_VALUES
+# values or one row of the grid, whichever is longer (8 each).  Once: the
+# block the writer thread formats while the next block is evolved, its
+# P(n, t) per site and point of the largest block (8); and the text block
+# being encoded by output.format_rows, _BLOCK_VALUES at most, each held as
+# a float in the block (8), five float or int64 arrays (|x|, e, m, its
+# rounding and the digits; 40), two bool masks (2), and its 20-byte cell
+# of uint32 words, the cell's keep mask, the kept bytes and their str (80).
+MAP_CELL_BYTES = 9
+RASTER_CHUNK_BYTES = 8
 WRITTEN_CELL_BYTES = 8
 FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * _BLOCK_VALUES
 # design, per guide.  Arrays: lattice.design's 13 float arrays while the
@@ -100,12 +107,12 @@ def check_memory(
     """
     # floats: a count past 2^64 is refused all the same, a negative one elsewhere
     n, guides = (float(min(max(count, 0), 2**64)) for count in (n_trunc, n_guides))
-    cells = points * n if keep_map else 0.0
+    cells, chunk = (points * n, max(points, _BLOCK_VALUES)) if keep_map else (0.0, 0.0)
     block = n * min(points, LARGEST_BLOCK)
     need = (runs * (MATRIX_BYTES * n * n + BLOCK_CELL_BYTES * block)
             + GUIDE_BYTES * guides
-            + (POINT_BYTES * points + MAP_CELL_BYTES * cells + WRITTEN_CELL_BYTES * block
-               + FORMAT_BLOCK_BYTES if points else 0))
+            + (POINT_BYTES * points + MAP_CELL_BYTES * cells + RASTER_CHUNK_BYTES * chunk
+               + WRITTEN_CELL_BYTES * block + FORMAT_BLOCK_BYTES if points else 0))
     physical = _physical_memory_bytes()
     if need > physical:
         raise ConfigError(f"{key}: the run needs about {need / 2**30:.3g} GiB, more than "

@@ -27,6 +27,7 @@ the table's range, and overflows at e = -298), or not finite goes through
 
 from __future__ import annotations
 
+import glob
 import os
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
@@ -178,7 +179,7 @@ def intensity_map_text(traj: Trajectory) -> Iterator[str]:
     yield from intensity_map_rows(n, traj.t_grid, traj.pnt.T)
 
 
-def intensity_map_pgm(pop: np.ndarray, n_trunc: int) -> bytes:
+def intensity_map_pgm(pop: np.ndarray, n_trunc: int) -> bytearray:
     """8-bit grayscale raster of P(n, t), max-normalized, binary PGM (P5).
 
     ``pop`` is the map site-major, shape (sites, grid points), for the
@@ -186,16 +187,27 @@ def intensity_map_pgm(pop: np.ndarray, n_trunc: int) -> bytes:
     quarter turn relative to the text table so that propagation distance
     runs horizontally: width = grid points, height = n_trunc sites, site 0
     on the top row.  Only the given sites are scaled: every site past them
-    is byte 0, as is the whole raster of an all-zero or empty map.
+    is byte 0, as is the whole raster of an all-zero or empty map.  The
+    file is one buffer, the header and then the raster, and the given
+    sites are scaled into it a chunk of rows at a time, _BLOCK_VALUES
+    values or one row: no copy of the whole map is made.
     """
+    sites, points = pop.shape
+    header = f"P5\n{points} {n_trunc}\n255\n".encode("ascii")
+    blob = bytearray(len(header) + n_trunc * points)
+    blob[:len(header)] = header
+    data = np.frombuffer(blob, dtype=np.uint8, offset=len(header)).reshape(n_trunc, points)
     peak = pop.max(initial=0.0)
-    live = pop * (255.0 / peak if peak else 0.0)
-    np.rint(live, out=live)
-    np.clip(live, 0, 255, out=live)
-    data = np.zeros((n_trunc, pop.shape[1]), dtype=np.uint8)
-    data[:pop.shape[0]] = live
-    header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
-    return header + data.tobytes()
+    scale = 255.0 / peak if peak else 0.0
+    step = max(1, _BLOCK_VALUES // max(points, 1))
+    chunk = np.empty((min(step, sites), points))
+    for start in range(0, sites, step):
+        rows = chunk[:min(step, sites - start)]
+        np.multiply(pop[start:start + step], scale, out=rows)
+        np.rint(rows, out=rows)
+        np.clip(rows, 0, 255, out=rows)
+        data[start:start + len(rows)] = rows
+    return blob
 
 
 def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> Iterator[str]:
@@ -214,7 +226,8 @@ def new_files() -> Iterator[Callable[..., IO]]:
     block appear together or not at all.  A failed rename can still leave
     the files renamed before it.  Text is ASCII with no newline translation,
     so a file holds ``\\n`` line ends on every platform.  The temporaries are
-    created by a plain ``open``, so a file gets the mode that gives.
+    created by a plain ``open``, so a file gets the mode that gives.  After the
+    renames, each ``.{name}.<pid>.tmp`` sibling whose process is gone is removed.
     """
     opened: list[tuple[Path, Path, IO]] = []
 
@@ -237,6 +250,14 @@ def new_files() -> Iterator[Callable[..., IO]]:
                 f.close()
             tmp.unlink(missing_ok=True)
         raise
+    # a SIGKILLed run's temporaries: signal 0 sends nothing, and finds no process of their pid
+    for _, path, _ in opened if os.name == "posix" else ():
+        for stale in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
+            with suppress(ValueError, OverflowError, OSError):   # kept: no pid, or a process has it
+                try:
+                    os.kill(int(stale.name[len(path.name) + 2:-4]), 0)
+                except ProcessLookupError:
+                    stale.unlink()
 
 
 def write_text(path: Path, text: str | Iterable[str]) -> None:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -30,10 +31,10 @@ from rabichain import analytic, blas, cli, config, dynamics, output
 from rabichain.cli import main
 from rabichain.dynamics import grid_points
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
-from rabichain.model import FullState, RabiParams
+from rabichain.model import FullState, ParityChain, RabiParams, decompose
 from conftest import (OPENBLAS_THREADS, blas_threads, every_openblas_at_one_thread, openblas_libraries,
                       set_blas_threads)
-from test_dynamics import failing_lapack, perturbed_eigh_tridiagonal
+from test_dynamics import DSC, failing_lapack, perturbed_eigh_tridiagonal
 
 DSC_CONFIG = """
 [model]
@@ -248,6 +249,30 @@ def test_a_signal_in_the_middle_of_the_map_leaves_no_file_and_no_traceback(tmp_p
     assert child.returncode == 128 + signum, stderr
     assert stderr == f"stopped by {signal.Signals(signum).name}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="signal 0 probes a pid on POSIX only")
+def test_the_next_run_removes_the_temporaries_of_a_killed_run(config_path, tmp_path):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(DSC_CONFIG.replace("n_trunc = 64", "n_trunc = 1024").replace("t_max = 60", "t_max = 600"))
+    out = tmp_path / "out"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rabichain.cli", "simulate", "--config", str(cfg), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    deadline = time.monotonic() + 60
+    while not list(out.glob(".intensity_map.tsv.*.tmp")) and child.poll() is None:
+        assert time.monotonic() < deadline, "no temporary map file appeared"
+        time.sleep(0.002)
+    child.kill()   # SIGKILL: no handler runs
+    assert child.wait(timeout=60) == -signal.SIGKILL
+    left = sorted(p.name for p in out.iterdir())
+    assert left == [f".intensity_map.tsv.{child.pid}.tmp", f".timeseries.tsv.{child.pid}.tmp"]
+    kept = [f".timeseries.tsv.{os.getppid()}.tmp", ".timeseries.tsv.x.tmp"]   # a running pid; no pid
+    for name in kept:
+        (out / name).touch()
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(kept) + ["intensity_map.tsv", "timeseries.tsv"]
 
 
 def test_main_restores_the_signal_handlers_it_sets(config_path, tmp_path, monkeypatch):
@@ -1146,6 +1171,54 @@ def test_eigensolve_out_of_tolerance_exits_2(config_path, tmp_path, capsys, monk
     rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "out of tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def live_components(cfg):
+    """The live eigenbasis components of each chain ``cfg``'s initial state occupies."""
+    run = config.load_config(cfg)
+    return {part.chain: np.flatnonzero(dynamics.build_chain(run.params, part.chain, part.amp).coefficients)
+            for part in decompose(run.initial) if part.weight != 0.0}
+
+
+def test_the_perturbed_component_3_is_live_in_the_runs_that_reject_it(config_path):
+    # test_eigensolve_out_of_tolerance_exits_2 runs config_path, whose e0 occupies the C chain
+    # only; test_eigensolve_verification_rejects_a_perturbed_solution builds that chain at DSC
+    assert config.load_config(config_path).params == DSC
+    [(chain, live)] = live_components(config_path).items()
+    assert chain is ParityChain.C
+    assert 3 in live and live.size == 60
+
+
+@pytest.mark.parametrize("perturb", ["eigenvalue", "eigenvector"])
+def test_a_perturbed_dead_component_leaves_the_outputs_unchanged(tmp_path, monkeypatch, perturb):
+    # e0 at n_trunc 1024: component 1023 is dead, c_1023 = 0, so no run reads it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG.replace("n_trunc = 64", "n_trunc = 1024").replace("t_max = 60", "t_max = 20"))
+    [live] = live_components(cfg).values()
+    assert live[-1] < 1023
+    args = ["simulate", "--config", str(cfg), "--image", "--out"]
+    assert main(args + [str(tmp_path / "exact")]) == 0
+    monkeypatch.setattr(dynamics, "eigh_tridiagonal", perturbed_eigh_tridiagonal(perturb, 1023))
+    with pytest.raises(dynamics.EigendecompositionError, match="out of tolerance over 1024 of 1024"):
+        dynamics.build_chain(config.load_config(cfg).params, ParityChain.C)   # every column checked
+    assert main(args + [str(tmp_path / "perturbed")]) == 0
+    for name in ("timeseries.tsv", "intensity_map.tsv", "intensity_map.pgm"):
+        assert (tmp_path / "perturbed" / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
+
+
+def test_a_live_component_missing_from_the_state_exits_2(config_path, tmp_path, capsys, monkeypatch):
+    # V[0, 0] = 0 takes component 0 out of e0's coefficients: the checked columns 1..59 pass
+    # their residual and orthogonality, and the state's reconstruction from them fails
+    monkeypatch.setattr(dynamics, "eigh_tridiagonal", perturbed_eigh_tridiagonal("first entry", 0))
+    rc = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "out of tolerance over 59 of 64 eigenpairs" in err
+    figures = dict(re.findall(r"(residual|orthogonality|reconstruction)=(\S+?),?\s", err))
+    assert float(figures["reconstruction"]) > dynamics.DECOMPOSITION_TOL
+    assert float(figures["orthogonality"]) <= dynamics.DECOMPOSITION_TOL
+    assert float(figures["residual"]) <= dynamics.DECOMPOSITION_TOL
     assert not (tmp_path / "out").exists()
 
 

@@ -137,6 +137,26 @@ def test_chain_keeps_the_quality_figures_of_its_eigensolve(n_trunc, g):
     assert 0.0 < h.residual and 0.0 < h.orthogonality   # figures, not placeholders
 
 
+@pytest.mark.parametrize("initial, band", [("e0", (0, 170)), ("e500", (330, 573))])
+def test_chain_built_for_a_state_keeps_the_figures_of_the_columns_it_occupies(initial, band):
+    p = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=1024)
+    amp = decompose(FullState.basis_state("e", int(initial[1:]), 1024))[0].amp   # on the C chain
+    with blas.one_thread():
+        h = build_chain(p, ParityChain.C, amp)
+        live = np.flatnonzero(h.coefficients)
+        v = h.eigenvectors[:, slice(*band)]
+        assert (live[0], live[-1] + 1) == band and live.size == band[1] - band[0]
+        assert h.coefficients.tobytes() == (h.eigenvectors.T @ amp).tobytes()
+        residual = np.abs(h.apply(v) - v * h.eigenvalues[slice(*band)]).max()
+        orthogonality = np.abs(v.T @ v - np.eye(v.shape[1])).max()
+        reconstruction = np.abs(amp - v @ h.coefficients[slice(*band)]).max()
+    assert (h.residual, h.orthogonality, h.reconstruction) == (residual, orthogonality, reconstruction)
+    scale = max(np.abs(h.diag).max(), np.abs(h.offdiag).max(), 1.0)
+    assert 0.0 < h.residual <= DECOMPOSITION_TOL * scale
+    assert 0.0 < h.orthogonality <= DECOMPOSITION_TOL and 0.0 < h.reconstruction <= DECOMPOSITION_TOL
+    assert np.isnan(build_chain(p, ParityChain.C).reconstruction)   # no state: every column, no fit
+
+
 def chain_matrix(n_trunc, g, omega0, chain):
     """The diagonal and off-diagonal of a chain at omega 0.23, as build_chain lays them out."""
     sites = np.arange(n_trunc, dtype=float)
@@ -247,16 +267,19 @@ def test_the_eigensolve_releases_the_gil(monkeypatch):
         assert stall > took / 2, (stall, took)
 
 
-def perturbed_eigh_tridiagonal(perturb):
-    """The package's eigh_tridiagonal with eigenvalue 3 shifted, or eigenvector 3 stretched, by 1e-6."""
+def perturbed_eigh_tridiagonal(perturb, k=3):
+    """The package's eigh_tridiagonal with eigenvalue k shifted, or eigenvector k stretched, by 1e-6,
+    or with the first entry of eigenvector k zeroed ("first entry")."""
     solver = dynamics.eigh_tridiagonal   # taken here, before the caller patches it
 
     def solve(diag, offdiag):
         evals, evecs = solver(diag, offdiag)
         if perturb == "eigenvalue":
-            evals[3] += 1e-6
+            evals[k] += 1e-6
+        elif perturb == "eigenvector":
+            evecs[:, k] *= 1.0 + 1e-6
         else:
-            evecs[:, 3] *= 1.0 + 1e-6
+            evecs[0, k] = 0.0
         return evals, evecs
     return solve
 

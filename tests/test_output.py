@@ -1,5 +1,7 @@
 """TSV writers: the vectorised encoder writes what a per-value f-string or ``%`` writes."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,3 +256,19 @@ def test_pgm_of_the_reached_sites_is_the_whole_map_raster():
 def test_pgm_of_a_map_with_no_positive_peak_is_all_zero():
     for pop in (np.zeros((3, 5)), np.zeros((0, 5))):   # all-zero, and no site given
         assert intensity_map_pgm(pop, 4) == b"P5\n5 4\n255\n" + bytes(20)
+
+
+def test_pgm_holds_the_raster_and_one_scaled_row_chunk():
+    # 256 sites over 6,001 points, the sites map_export reaches: 10 rows of floats at a time
+    pop = np.random.default_rng(5).uniform(size=(256, 6001)) ** 3
+    chunk = 8 * 6001 * (_BLOCK_VALUES // 6001)
+    tracemalloc.start()
+    try:
+        pgm = intensity_map_pgm(pop, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pgm) == len(b"P5\n6001 256\n255\n") + 256 * 6001
+    # 16 KiB for array and object headers; a float copy of the map alone is 12.3 MB
+    assert peak < len(pgm) + chunk + 2**14, (peak, len(pgm), chunk)
+    assert pgm == whole_map_pgm(pop.T)
