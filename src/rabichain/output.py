@@ -31,6 +31,7 @@ import glob
 import os
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
+from fcntl import LOCK_EX, LOCK_NB, flock
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
@@ -215,6 +216,19 @@ def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> Iterato
     return _table_text("omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n", table)
 
 
+def _locked(tmp: Path, binary: bool) -> IO:
+    """``tmp`` open for writing, created if absent, emptied, and under its own exclusive ``flock``."""
+    while True:   # opened to append, so nothing is cut before the lock is held
+        f = tmp.open("ab") if binary else tmp.open("a", encoding="ascii", newline="")
+        with suppress(OSError):   # a file system without flock: unlocked, and so never swept
+            flock(f.fileno(), LOCK_EX)   # waits out a sweep, or a writer of this name elsewhere
+        with suppress(FileNotFoundError):
+            if os.path.samestat(os.fstat(f.fileno()), os.stat(tmp)):
+                f.truncate(0)
+                return f
+        f.close()   # a sweep removed the file before the lock was taken: create it again
+
+
 @contextmanager
 def new_files() -> Iterator[Callable[..., IO]]:
     """``create(path, binary=False)``: a temporary next to ``path``, open for writing.
@@ -225,38 +239,43 @@ def new_files() -> Iterator[Callable[..., IO]]:
     removed and no path changes: no file is ever cut off, and the files of a
     block appear together or not at all.  A failed rename can still leave
     the files renamed before it.  Text is ASCII with no newline translation,
-    so a file holds ``\\n`` line ends on every platform.  The temporaries are
-    created by a plain ``open``, so a file gets the mode that gives.  After the
-    renames, each ``.{name}.<pid>.tmp`` sibling whose process is gone is removed.
+    so a file holds ``\\n`` line ends on every platform.  A temporary is
+    ``.{name}.<pid>.tmp``, created by a plain ``open``, so it gets the mode
+    that gives, and its writer holds an exclusive ``flock`` on it from
+    creation to rename, through a duplicate descriptor that outlives the
+    close.  After the renames, each ``.{name}.*.tmp`` sibling whose lock can
+    be taken at once is removed: no process holds it, and the kernel drops
+    the locks of a killed writer.
     """
-    opened: list[tuple[Path, Path, IO]] = []
+    opened: list[tuple[Path, Path, IO, int]] = []
 
     def create(path: Path, binary: bool = False) -> IO:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        f = tmp.open("wb") if binary else tmp.open("w", encoding="ascii", newline="")
-        opened.append((tmp, path, f))
+        f = _locked(tmp, binary)
+        opened.append((tmp, path, f, os.dup(f.fileno())))
         return f
 
     try:
         yield create
-        for _, _, f in opened:
+        for _, _, f, _ in opened:
             f.close()   # flushed: every byte is written before any file is renamed
-        for tmp, path, _ in reversed(opened):
+        for tmp, path, _, _ in reversed(opened):
             os.replace(tmp, path)
     except BaseException:
-        for tmp, _, f in opened:
+        for tmp, _, f, _ in opened:
             with suppress(OSError):
                 f.close()
             tmp.unlink(missing_ok=True)
         raise
-    # a SIGKILLed run's temporaries: signal 0 sends nothing, and finds no process of their pid
-    for _, path, _ in opened if os.name == "posix" else ():
+    finally:
+        for *_, lock in opened:
+            os.close(lock)
+    for _, path, _, _ in opened:   # a killed run's temporaries: nothing holds their lock
         for stale in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
-            with suppress(ValueError, OverflowError, OSError):   # kept: no pid, or a process has it
-                try:
-                    os.kill(int(stale.name[len(path.name) + 2:-4]), 0)
-                except ProcessLookupError:
+            with suppress(OSError), stale.open("rb") as f:   # BlockingIOError: its writer holds it
+                flock(f.fileno(), LOCK_EX | LOCK_NB)
+                if os.path.samestat(os.fstat(f.fileno()), os.stat(stale)):   # still the file locked
                     stale.unlink()
 
 

@@ -251,7 +251,6 @@ def test_a_signal_in_the_middle_of_the_map_leaves_no_file_and_no_traceback(tmp_p
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.skipif(os.name != "posix", reason="signal 0 probes a pid on POSIX only")
 def test_the_next_run_removes_the_temporaries_of_a_killed_run(config_path, tmp_path):
     cfg = tmp_path / "big.cfg"
     cfg.write_text(DSC_CONFIG.replace("n_trunc = 64", "n_trunc = 1024").replace("t_max = 60", "t_max = 600"))
@@ -264,15 +263,25 @@ def test_the_next_run_removes_the_temporaries_of_a_killed_run(config_path, tmp_p
     while not list(out.glob(".intensity_map.tsv.*.tmp")) and child.poll() is None:
         assert time.monotonic() < deadline, "no temporary map file appeared"
         time.sleep(0.002)
-    child.kill()   # SIGKILL: no handler runs
+    child.kill()   # SIGKILL: no handler runs, and the kernel drops the child's locks
     assert child.wait(timeout=60) == -signal.SIGKILL
     left = sorted(p.name for p in out.iterdir())
     assert left == [f".intensity_map.tsv.{child.pid}.tmp", f".timeseries.tsv.{child.pid}.tmp"]
-    kept = [f".timeseries.tsv.{os.getppid()}.tmp", ".timeseries.tsv.x.tmp"]   # a running pid; no pid
-    for name in kept:
-        (out / name).touch()
-    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.iterdir()) == sorted(kept) + ["intensity_map.tsv", "timeseries.tsv"]
+    # a running pid's name but no lock, as a writer's pid may read from another pid namespace: removed
+    (out / f".timeseries.tsv.{os.getppid()}.tmp").touch()
+    held = out / ".timeseries.tsv.x.tmp"   # open and locked by a live process: kept
+    holder = subprocess.Popen(
+        [sys.executable, "-c", "import fcntl, sys\nf = open(sys.argv[1], 'ab')\n"
+         "fcntl.flock(f.fileno(), fcntl.LOCK_EX)\nprint(flush=True)\nsys.stdin.read()", str(held)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert holder.stdout.readline() == "\n"   # it holds the lock
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    finally:
+        holder.communicate(timeout=60)
+    assert holder.returncode == 0
+    assert sorted(p.name for p in out.iterdir()) == [held.name, "intensity_map.tsv", "timeseries.tsv"]
 
 
 def test_main_restores_the_signal_handlers_it_sets(config_path, tmp_path, monkeypatch):

@@ -1,11 +1,18 @@
 """TSV writers: the vectorised encoder writes what a per-value f-string or ``%`` writes."""
 
+import fcntl
+import os
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabichain import output
 from rabichain.dynamics import run_trajectory
 from rabichain.model import FullState, RabiParams
 from rabichain.output import (
@@ -14,6 +21,7 @@ from rabichain.output import (
     format_rows,
     intensity_map_pgm,
     intensity_map_text,
+    new_files,
     sweep_summary_text,
     timeseries_text,
     write_text,
@@ -230,6 +238,61 @@ def test_write_text_writes_the_blocks_as_ascii_with_newline_line_ends(tmp_path):
     write_text(path, blocks)
     assert path.read_bytes() == "".join(blocks).encode("ascii")
     assert b"\r" not in path.read_bytes()
+
+
+def held_elsewhere(path):
+    """Whether a new open of ``path`` finds its ``flock`` taken."""
+    with path.open("rb") as f:
+        try:
+            fcntl.flock(f.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return True
+        return False
+
+
+def test_a_temporary_is_locked_from_its_creation_to_its_rename(tmp_path, monkeypatch):
+    path, tmp = tmp_path / "a.tsv", tmp_path / f".a.tsv.{os.getpid()}.tmp"
+    tmp.write_bytes(b"left by an earlier run of this pid\n")
+    at_rename = []
+    replace = os.replace
+
+    def checked_replace(src, dst):
+        at_rename.append(held_elsewhere(Path(src)))
+        replace(src, dst)
+
+    monkeypatch.setattr(output.os, "replace", checked_replace)
+    with new_files() as create:
+        create(path).write("x\n")
+        assert held_elsewhere(tmp)
+    assert at_rename == [True]   # closed, and still locked
+    assert path.read_bytes() == b"x\n"
+    assert not tmp.exists()
+
+
+def test_a_writer_whose_temporary_a_sweep_removed_creates_it_again(tmp_path, monkeypatch):
+    tmp = tmp_path / ".a.tsv.1.tmp"
+    sweep = tmp.open("ab")
+    fcntl.flock(sweep.fileno(), fcntl.LOCK_EX)
+    calls = []
+    opened = threading.Event()
+
+    def flock(fd, operation):   # called after the writer's open
+        calls.append(fd)
+        opened.set()
+        fcntl.flock(fd, operation)
+
+    monkeypatch.setattr(output, "flock", flock)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        writer = pool.submit(output._locked, tmp, True)
+        assert opened.wait(10)
+        time.sleep(0.05)   # the writer waits in flock
+        tmp.unlink()       # the sweep removes the file, then lets go of its lock
+        sweep.close()
+        f = writer.result(timeout=10)
+    with f:
+        assert len(calls) == 2
+        assert os.path.samestat(os.fstat(f.fileno()), os.stat(tmp))
+        assert held_elsewhere(tmp)
 
 
 def whole_map_pgm(pnt):
