@@ -144,7 +144,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, image: bool) -> int:
         del reached
         written.result()
         if image:
-            create(out_dir / "intensity_map.pgm", binary=True).write(raster)
+            create(out_dir / "intensity_map.pgm").write(raster)
     if top > TRUNCATION_OCCUPANCY:
         print(f"note: truncation-contaminated run, top-site occupancy {top:.3e}", file=sys.stderr)
     return EXIT_OK
@@ -221,8 +221,8 @@ def cmd_design(cfg: RunConfig, out_dir: Path) -> int:
             f"{report.max_rel_deviation:.6e}, bound {RECIPE_DEVIATION_TOL:.0e}"
         )
     with new_files() as create:
-        create(out_dir / "recipe.tsv").write(format_recipe(recipe))
-        create(out_dir / "recipe_report.txt").write(report.to_text())
+        create(out_dir / "recipe.tsv").write(format_recipe(recipe).encode("ascii"))
+        create(out_dir / "recipe_report.txt").write(report.to_text().encode("ascii"))
     return EXIT_OK
 
 
@@ -297,8 +297,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "simulate":
                 return cmd_simulate(cfg, out_dir, args.image)
             if args.command == "sweep":
+                fields = args.omega0_list.split(",") if args.omega0_list.strip() else []
+                for i, field in enumerate(fields):
+                    if not field.strip():   # dropping it would quietly run one point fewer
+                        raise ConfigError(f"--omega0-list: field {i + 1} is empty")
                 try:
-                    omega0_list = [float(s) for s in args.omega0_list.split(",") if s.strip()]
+                    omega0_list = [float(s) for s in fields]
                 except ValueError:
                     raise ConfigError(f"bad --omega0-list: {args.omega0_list!r}") from None
                 return cmd_sweep(cfg, omega0_list, out_dir, args.jobs)

@@ -53,10 +53,11 @@ class ConfigError(ValueError):
 # checks (band <= n), two floats or the reconstruction residual's complex
 # cast of the band; or a product's complex cast of a block, reach x K' <= n^2.
 # Per run and site and point of the largest block (64): the complex
-# right-hand side, its two complex phase temporaries and the other chain's
-# complex product; to_branches' output next to both products; or the
-# amplitudes next to the observables' temporaries and the block's
-# per-point observables.  Once per command: the grid, per point (8).
+# right-hand side, its complex phase buffer with the float product it is
+# built from, and the other chain's complex product (56); to_branches'
+# output next to both products; or the amplitudes next to the
+# observables' temporaries and the block's per-point observables.  Once
+# per command: the grid, per point (8).
 MATRIX_BYTES = 32
 BLOCK_CELL_BYTES = 64
 POINT_BYTES = 8
@@ -71,18 +72,19 @@ LARGEST_BLOCK = BLOCK_POINTS + MIN_TAIL_POINTS - 1
 # being encoded by output.format_rows, _BLOCK_VALUES at most, each held as
 # a float in the block (8), five float or int64 arrays (|x|, e, m, its
 # rounding and the digits; 40), two bool masks (2), and its 20-byte cell
-# of uint32 words, the cell's keep mask, the kept bytes and their str (80).
+# of uint32 words, the cells' bytes copy and the bytes left once the NUL
+# padding is translated away (60).
 MAP_CELL_BYTES = 9
 RASTER_CHUNK_BYTES = 8
 WRITTEN_CELL_BYTES = 8
-FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 80) * _BLOCK_VALUES
+FORMAT_BLOCK_BYTES = (8 + 40 + 2 + 60) * _BLOCK_VALUES
 # design, per guide.  Arrays: lattice.design's 13 float arrays while the
 # recipe copies 7 of them (160), then the recipe and the report's 8 arrays
 # (120) with verify_recipe's list of Python floats and temporaries (64).
 # Text, with the recipe and report held: a table is a list of row strings
 # (row length + 57 each), their join and its encoding, 3 x row length + 57.
 # recipe.tsv rows are at most 8 fields of 20 characters (160), and encoding
-# them peaks at 7 x 130 bytes (format_rows' count above); the report's rows,
+# them peaks at 7 x 110 bytes (format_rows' count above); the report's rows,
 # which set the figure, at most 710 (two fixed-point fields of 317).
 GUIDE_BYTES = 120 + 3 * 710 + 57
 

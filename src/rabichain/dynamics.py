@@ -268,6 +268,9 @@ def _chain_evolution(h: ChainHamiltonian, coeffs: np.ndarray):
     copy of the (reach, K') block of V, so the n_trunc^2 eigenbasis is
     freed before the first block: a complex copy kept for the whole run
     would hold twice the bytes, and the product's own cast is transient.
+    A block's phases are built in place in one complex buffer, with the
+    ufuncs and operands of ``np.exp(-1j * np.outer(evals, t)) * c``, and so
+    with its bits.
     """
     live = np.flatnonzero(coeffs)
     k = _inner_dimension(int(live[-1]) + 1 if live.size else 0, h.n_trunc, blas.numpy_core())
@@ -278,7 +281,10 @@ def _chain_evolution(h: ChainHamiltonian, coeffs: np.ndarray):
 
     def evolve(t: np.ndarray) -> np.ndarray:
         rhs = np.zeros((k, t.shape[0]), dtype=complex)
-        rhs[live] = np.exp(-1j * np.outer(evals, t)) * c
+        phases = np.multiply(np.outer(evals, t), -1j)
+        np.exp(phases, out=phases)
+        rhs[live] = np.multiply(phases, c, out=phases)
+        del phases   # before the product, whose result can take its memory
         return v @ rhs
 
     return evolve

@@ -354,7 +354,7 @@ def format_recipe(recipe: LatticeRecipe) -> str:
     """The recipe table: the guide index, then the columns with a NaN step quantity empty."""
     table = np.column_stack([getattr(recipe, name) for name in RECIPE_COLUMNS[1:]])
     # + 0.0 folds IEEE -0.0 into +0.0
-    rows = format_rows(table + 0.0, blank=np.isnan(table)).splitlines()
+    rows = format_rows(table + 0.0, blank=np.isnan(table)).decode("ascii").splitlines()
     return "\t".join(RECIPE_COLUMNS) + "\n" + "".join(f"{n}\t{row}\n" for n, row in enumerate(rows))
 
 

@@ -3,7 +3,8 @@
 All numeric text is fixed 12-significant-digit scientific notation, the
 bytes ``"%.11e" % x`` gives for every float64, written as ASCII with
 ``\\n`` line ends, so golden-file comparisons are stable across platforms
-and runs.
+and runs.  Every table here is ``bytes``, from the formatter to the file:
+no ``str`` is built for it, and every file is written in binary mode.
 
 The tables are written a row block at a time: ``_rows_text`` lays out
 the rows of one block, and the header and the row blocks of a table
@@ -23,6 +24,11 @@ from a rounding tie.  A value within 1e-3 of a tie, with digits outside
 [1e11, 1e12] (a misestimated e), with |e| >= 280 (10^(11-e) would leave
 the table's range, and overflows at e = -298), or not finite goes through
 ``%`` instead, which rounds exact ties half to even.  Both zeros are encoded.
+Each value gets a fixed 20-byte cell, and a byte that not every value has
+is a NUL byte in the tables: the sign of a value without its sign bit,
+the hundreds digit of an exponent below 100, the padding of a ``%``
+fallback and a blank cell's text.  One ``bytes.translate`` pass over the
+cells removes every NUL, which leaves each field at its own length.
 """
 
 from __future__ import annotations
@@ -41,11 +47,11 @@ if TYPE_CHECKING:
     from .dynamics import Trajectory
 
 _BLOCK_VALUES = 1 << 16   # values encoded at a time in _table_text
-_ZERO = "0.00000000000e+00"   # the text of +0.0, written literally past the given columns
+_ZERO = b"0.00000000000e+00"   # the text of +0.0, written literally past the given columns
 
 # A value's cell is 20 bytes, five native-order uint32 words:
 #   "-" d0 "." d1 | d2..d5 | d6..d9 | d10 d11 "e" sign | E2 E1 E0 separator
-# The "-" byte is dropped for a value without its sign bit, E2 for |e| < 100.
+# The "-" byte is NUL for a value without its sign bit, E2 for |e| < 100.
 _CELL = 20
 _E_MAX = 280              # |e| below this is encoded; _POW10[_E_MAX - e] = 10^(11 - e)
 _POW10 = np.array([float(f"1e{k}") for k in range(11 - _E_MAX, 12 + _E_MAX)])
@@ -59,23 +65,25 @@ def _words(*byte_columns) -> np.ndarray:
 
 _I = np.arange(10**4, dtype=np.uint16)
 _D = ord("0")
-_LEAD = _words(ord("-"), _D + _I[:100] // 10, ord("."), _D + _I[:100] % 10)      # by d0 d1
+_LEAD = _words(np.where(_I[:200] < 100, 0, ord("-")), _D + _I[:200] % 100 // 10,  # by d0 d1,
+               ord("."), _D + _I[:200] % 10)                                    # + 100 (sign bit)
 _QUAD = _words(*(_D + _I // 10**k % 10 for k in (3, 2, 1, 0)))                 # by 4 digits
 _TAIL = _words(_D + _I[:200] // 20, _D + _I[:200] // 2 % 10, ord("e"),         # by 2*(d10 d11)
                np.where(_I[:200] % 2, ord("-"), ord("+")))                      # + (e < 0)
-_EXP = _words(_D + _I[:2000] % 1000 // 100, _D + _I[:2000] // 10 % 10,         # by |e|, + 1000
-              _D + _I[:2000] % 10, np.where(_I[:2000] < 1000, ord("\t"), ord("\n")))  # at row end
+_EXP = _words(np.where(_I[:2000] % 1000 < 100, 0, _D + _I[:2000] % 1000 // 100),  # by |e|,
+              _D + _I[:2000] // 10 % 10, _D + _I[:2000] % 10,                      # + 1000
+              np.where(_I[:2000] < 1000, ord("\t"), ord("\n")))                   # at row end
 
 
-def format_rows(table: np.ndarray, blank: np.ndarray | None = None) -> str:
-    """Each row of a 2-D float array as ``%.11e`` fields joined by tabs, ending in ``\\n``.
+def format_rows(table: np.ndarray, blank: np.ndarray | None = None) -> bytes:
+    """Each row of a 2-D float array as ``%.11e`` fields joined by tabs, ending in ``\\n``, as ASCII.
 
     Cells where ``blank`` (a bool array of the table's shape) is True are
     written as empty fields.
     """
     rows, width = table.shape
     if width == 0:
-        return "\n" * rows
+        return b"\n" * rows
     x = table.ravel()
     a = np.abs(x)
     with np.errstate(divide="ignore"):
@@ -92,31 +100,26 @@ def format_rows(table: np.ndarray, blank: np.ndarray | None = None) -> str:
     n = n.astype(np.int64)
 
     cells = np.empty((x.size, _CELL // 4), dtype=np.uint32)
-    cells[:, 0] = _LEAD[n // 10**10]
+    cells[:, 0] = _LEAD[n // 10**10 + 100 * np.signbit(x)]
     cells[:, 1] = _QUAD[n // 10**6 % 10**4]
     cells[:, 2] = _QUAD[n // 100 % 10**4]
     cells[:, 3] = _TAIL[n % 100 * 2 + (e < 0)]
     e = np.abs(e)
-    keep = np.ones((x.size, _CELL), dtype=bool)
-    keep[:, 16] = e >= 100
     e[width - 1::width] += 1000                  # the row's last field ends the line
     cells[:, 4] = _EXP[e]
-    keep[:, 0] = np.signbit(x)
 
     text = cells.view(np.uint8)
     slow = np.flatnonzero(~vector)
-    if slow.size:                                # at most 19 characters each, padded
-        fallback = "".join([("%.11e" % v).ljust(_CELL - 1) for v in x[slow].tolist()])
-        fallback = np.frombuffer(fallback.encode("ascii"), dtype=np.uint8).reshape(-1, _CELL - 1)
-        text[slow, :-1] = fallback
-        keep[slow, :-1] = fallback != ord(" ")
+    if slow.size:                                # at most 19 characters each, NUL-padded
+        fallback = "".join([("%.11e" % v).ljust(_CELL - 1, "\0") for v in x[slow].tolist()])
+        text[slow, :-1] = np.frombuffer(fallback.encode("ascii"), dtype=np.uint8).reshape(-1, _CELL - 1)
     if blank is not None:
-        keep[blank.ravel(), :-1] = False
-    return str(text[keep].data, "ascii")
+        text[blank.ravel(), :-1] = 0
+    return cells.tobytes().translate(None, b"\0")
 
 
-def _rows_text(width: int, *columns: np.ndarray) -> Iterator[str]:
-    """One tab-separated line per row of a row block, yielded as text blocks.
+def _rows_text(width: int, *columns: np.ndarray) -> Iterator[bytes]:
+    """One tab-separated line per row of a row block, yielded as ASCII text blocks.
 
     ``columns`` are 1-D or 2-D float arrays with one entry (or row) per
     table row, put side by side to give the first columns of a ``width``
@@ -134,31 +137,31 @@ def _rows_text(width: int, *columns: np.ndarray) -> Iterator[str]:
         chunk = np.column_stack([c[start:start + step] for c in columns])
         text = format_rows(chunk)
         if chunk.shape[1] < width:
-            text = text.replace("\n", ("\t" + _ZERO) * (width - chunk.shape[1]) + "\n")
+            text = text.replace(b"\n", (b"\t" + _ZERO) * (width - chunk.shape[1]) + b"\n")
         yield text
         del text   # on resuming, before the next block is encoded
 
 
-def _table_text(header: str, *columns: np.ndarray) -> Iterator[str]:
+def _table_text(header: str, *columns: np.ndarray) -> Iterator[bytes]:
     """The header line, then the rows of ``columns`` (``_rows_text``), yielded as text blocks."""
-    yield header + "\n"
+    yield header.encode("ascii") + b"\n"
     yield from _rows_text(sum(1 if c.ndim == 1 else c.shape[1] for c in columns), *columns)
 
 
-TIMESERIES_HEADER = "t_mm\tP_e\tP_g\tP_r\tmean_n\n"
+TIMESERIES_HEADER = b"t_mm\tP_e\tP_g\tP_r\tmean_n\n"
 
 
-def intensity_map_header(n_trunc: int) -> str:
-    return "t_mm\t" + "\t".join(f"P{j}" for j in range(n_trunc)) + "\n"
+def intensity_map_header(n_trunc: int) -> bytes:
+    return b"t_mm\t" + b"\t".join(b"P%d" % j for j in range(n_trunc)) + b"\n"
 
 
 def timeseries_rows(t: np.ndarray, p_e: np.ndarray, p_r: np.ndarray,
-                    mean_n: np.ndarray) -> Iterator[str]:
+                    mean_n: np.ndarray) -> Iterator[bytes]:
     """The timeseries lines of a row block of grid times ``t``, as text blocks."""
     return _rows_text(5, t, p_e, 1.0 - p_e, p_r, mean_n)
 
 
-def intensity_map_rows(n_trunc: int, t: np.ndarray, pop: np.ndarray) -> Iterator[str]:
+def intensity_map_rows(n_trunc: int, t: np.ndarray, pop: np.ndarray) -> Iterator[bytes]:
     """The map lines of a row block of grid times ``t``, as text blocks.
 
     ``pop`` is P(n, t) site-major, shape (sites, len(t)), for the first
@@ -168,12 +171,12 @@ def intensity_map_rows(n_trunc: int, t: np.ndarray, pop: np.ndarray) -> Iterator
     return _rows_text(n_trunc + 1, t, pop.T)
 
 
-def timeseries_text(traj: Trajectory) -> Iterator[str]:
+def timeseries_text(traj: Trajectory) -> Iterator[bytes]:
     yield TIMESERIES_HEADER
     yield from timeseries_rows(traj.t_grid, traj.p_e, traj.p_r, traj.mean_n)
 
 
-def intensity_map_text(traj: Trajectory) -> Iterator[str]:
+def intensity_map_text(traj: Trajectory) -> Iterator[bytes]:
     """Rows are grid times (top to bottom), columns are sites (left to right)."""
     n = traj.pnt.shape[1]
     yield intensity_map_header(n)
@@ -211,15 +214,15 @@ def intensity_map_pgm(pop: np.ndarray, n_trunc: int) -> bytearray:
     return blob
 
 
-def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> Iterator[str]:
+def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> Iterator[bytes]:
     table = np.array(rows, dtype=float).reshape(len(rows), 4)
     return _table_text("omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n", table)
 
 
-def _locked(tmp: Path, binary: bool) -> IO:
-    """``tmp`` open for writing, created if absent, emptied, and under its own exclusive ``flock``."""
+def _locked(tmp: Path) -> IO[bytes]:
+    """``tmp`` open for binary writing, created if absent, emptied, and under its own exclusive ``flock``."""
     while True:   # opened to append, so nothing is cut before the lock is held
-        f = tmp.open("ab") if binary else tmp.open("a", encoding="ascii", newline="")
+        f = tmp.open("ab")
         with suppress(OSError):   # a file system without flock: unlocked, and so never swept
             flock(f.fileno(), LOCK_EX)   # waits out a sweep, or a writer of this name elsewhere
         with suppress(FileNotFoundError):
@@ -230,29 +233,30 @@ def _locked(tmp: Path, binary: bool) -> IO:
 
 
 @contextmanager
-def new_files() -> Iterator[Callable[..., IO]]:
-    """``create(path, binary=False)``: a temporary next to ``path``, open for writing.
+def new_files() -> Iterator[Callable[[Path], IO[bytes]]]:
+    """``create(path)``: a temporary next to ``path``, open for binary writing.
 
     When the block ends, every temporary is closed, and only then is each
     renamed onto its path, the last created first.  On any exception before
     the renames, a failed write or close among them, every temporary is
     removed and no path changes: no file is ever cut off, and the files of a
     block appear together or not at all.  A failed rename can still leave
-    the files renamed before it.  Text is ASCII with no newline translation,
-    so a file holds ``\\n`` line ends on every platform.  A temporary is
-    ``.{name}.<pid>.tmp``, created by a plain ``open``, so it gets the mode
-    that gives, and its writer holds an exclusive ``flock`` on it from
-    creation to rename, through a duplicate descriptor that outlives the
-    close.  After the renames, each ``.{name}.*.tmp`` sibling whose lock can
-    be taken at once is removed: no process holds it, and the kernel drops
-    the locks of a killed writer.
+    the files renamed before it.  A file holds the bytes written to it, so
+    the tables' ``\\n`` line ends on every platform.  A temporary is
+    ``.{name}.<pid>.tmp``, the pid in decimal, created by a plain ``open``,
+    so it gets the mode that gives, and its writer holds an exclusive
+    ``flock`` on it from creation to rename, through a duplicate descriptor
+    that outlives the close.  After the renames, each sibling named so, with
+    any decimal pid, whose lock can be taken at once is removed: no process
+    holds it, and the kernel drops the locks of a killed writer.  Any other
+    ``.{name}.*.tmp`` file is not one of these temporaries, and stays.
     """
-    opened: list[tuple[Path, Path, IO, int]] = []
+    opened: list[tuple[Path, Path, IO[bytes], int]] = []
 
-    def create(path: Path, binary: bool = False) -> IO:
+    def create(path: Path) -> IO[bytes]:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        f = _locked(tmp, binary)
+        f = _locked(tmp)
         opened.append((tmp, path, f, os.dup(f.fileno())))
         return f
 
@@ -272,23 +276,27 @@ def new_files() -> Iterator[Callable[..., IO]]:
         for *_, lock in opened:
             os.close(lock)
     for _, path, _, _ in opened:   # a killed run's temporaries: nothing holds their lock
-        for stale in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
+        prefix = f".{path.name}."
+        for stale in path.parent.glob(f"{glob.escape(prefix)}*.tmp"):
+            pid = stale.name[len(prefix):-len(".tmp")]
+            if not (pid.isascii() and pid.isdigit()):   # not a temporary of new_files: the user's
+                continue
             with suppress(OSError), stale.open("rb") as f:   # BlockingIOError: its writer holds it
                 flock(f.fileno(), LOCK_EX | LOCK_NB)
                 if os.path.samestat(os.fstat(f.fileno()), os.stat(stale)):   # still the file locked
                     stale.unlink()
 
 
-def write_text(path: Path, text: str | Iterable[str]) -> None:
-    """Write a string, or an iterable of blocks one after another, through ``new_files``.
+def write_text(path: Path, text: bytes | Iterable[bytes]) -> None:
+    """Write ASCII text, or an iterable of its blocks one after another, through ``new_files``.
 
     A formatter's iterator is consumed as the file is written, one block at a time.
     """
     with new_files() as create:
-        create(path).writelines([text] if isinstance(text, str) else text)
+        create(path).writelines([text] if isinstance(text, bytes) else text)
 
 
 def write_bytes(path: Path, blob: bytes) -> None:
     """Write ``blob``; the file appears at ``path`` whole, or not at all (``new_files``)."""
     with new_files() as create:
-        create(path, binary=True).write(blob)
+        create(path).write(blob)

@@ -169,8 +169,8 @@ def test_streamed_files_are_the_text_of_the_whole_trajectory(tmp_path, points):
         traj = dynamics.run_trajectory(run.params, run.initial, run.t_max, run.dt)
         assert traj.t_grid.shape[0] == points
         assert traj.pnt[:, -1].max() == 0.0 < traj.pnt[:, 0].max()
-        whole = {"timeseries.tsv": "".join(output.timeseries_text(traj)).encode("ascii"),
-                 "intensity_map.tsv": "".join(output.intensity_map_text(traj)).encode("ascii"),
+        whole = {"timeseries.tsv": b"".join(output.timeseries_text(traj)),
+                 "intensity_map.tsv": b"".join(output.intensity_map_text(traj)),
                  "intensity_map.pgm": output.intensity_map_pgm(traj.pnt.T, n)}
         for i, (outputs, image) in enumerate([("timeseries", False), ("intensity_map", False),
                                               ("timeseries, intensity_map", True), ("", True)]):
@@ -269,7 +269,7 @@ def test_the_next_run_removes_the_temporaries_of_a_killed_run(config_path, tmp_p
     assert left == [f".intensity_map.tsv.{child.pid}.tmp", f".timeseries.tsv.{child.pid}.tmp"]
     # a running pid's name but no lock, as a writer's pid may read from another pid namespace: removed
     (out / f".timeseries.tsv.{os.getppid()}.tmp").touch()
-    held = out / ".timeseries.tsv.x.tmp"   # open and locked by a live process: kept
+    held = out / ".timeseries.tsv.1.tmp"   # open and locked by a live process: kept
     holder = subprocess.Popen(
         [sys.executable, "-c", "import fcntl, sys\nf = open(sys.argv[1], 'ab')\n"
          "fcntl.flock(f.fileno(), fcntl.LOCK_EX)\nprint(flush=True)\nsys.stdin.read()", str(held)],
@@ -376,7 +376,7 @@ def test_sweep_folds_the_extremes_of_the_whole_trajectory(tmp_path, points):
             assert traj.t_grid.shape[0] == points
             population = traj.p_e if v >= 0 else traj.p_g
             rows.append((v, traj.p_r.min(), population.min(), traj.mean_n.max()))
-    whole = "".join(output.sweep_summary_text(rows)).encode("ascii")
+    whole = b"".join(output.sweep_summary_text(rows))
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs,
@@ -754,6 +754,7 @@ BLOCK_LAYOUT_SCRIPT = """import json
 import numpy as np
 from rabichain import blas, dynamics
 from rabichain.model import FullState, RabiParams
+from test_dynamics import phase_product_cases
 cases, differ = 0, []
 with blas.one_thread():
     for n, g in ((300, 0.4), (1024, 0.15)):
@@ -769,7 +770,7 @@ with blas.one_thread():
                 cases += 1
                 if not np.array_equal(getattr(blocked, name), getattr(whole, name)):
                     differ.append([n, points, name])
-print(json.dumps([blas.numpy_core(), cases, differ]))
+print(json.dumps([blas.numpy_core(), cases, differ, phase_product_cases(range(12))[0]]))
 """
 
 
@@ -777,9 +778,11 @@ print(json.dumps([blas.numpy_core(), cases, differ]))
 def test_the_block_layout_keeps_the_whole_grid_bits_on_a_forced_openblas_core(core):
     # the blocks start at multiples of 1024 and a short tail joins the block before it, so
     # gemm and gemv sum every cell in the order of the whole-grid call: checked on the
-    # kernels of the other cores this OpenBLAS can run, at 1025, 1088 and 2049 points
+    # kernels of the other cores this OpenBLAS can run, at 1025, 1088 and 2049 points.
+    # On those kernels too, the phases built in place give the product every bit of the
+    # phases built out of place
     read = run_fresh(BLOCK_LAYOUT_SCRIPT, env={"OPENBLAS_CORETYPE": core})
-    assert read == [core, 24, []]
+    assert read == [core, 24, [], []]
 
 
 @needs_openblas
@@ -1093,6 +1096,19 @@ def test_sweep_overflowing_omega0_exits_1_before_any_point_runs(
                f"--omega0-list=0.1,{value}"])
     assert rc == 1
     assert "config error: --omega0-list: value " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values, field", [("0.1,,0.2", 2), ("0.1,0.2,", 3), (",0.1", 1),
+                                           ("0.1, ,0.2", 2)])
+def test_sweep_refuses_an_empty_omega0_field(config_path, tmp_path, capsys, monkeypatch,
+                                             values, field):
+    # dropping the field would run one point fewer than the list names, and say nothing
+    refuse_to_run(monkeypatch)
+    rc = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"),
+               f"--omega0-list={values}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: --omega0-list: field {field} is empty\n"
     assert not (tmp_path / "out").exists()
 
 

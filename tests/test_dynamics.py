@@ -828,6 +828,38 @@ def test_grid_oracle_matches_the_single_time_oracle(seed):
         assert np.abs(amp_g[:, k] - ref.amp_g).max() < 1e-12
 
 
+def phase_product_cases(seeds):
+    """Cases where a chain's evolved block is not ``v @ rhs`` bit for bit, ``rhs`` built as
+    ``np.exp(-1j * np.outer(evals, t)) * c``; and how many of its chains had eigenvalues of both
+    signs.  Random chains and grids, t = 0 among the grid's times."""
+    differ, both_signs = [], 0
+    with blas.one_thread():
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 300))
+            params = RabiParams(omega0=float(rng.uniform(-0.3, 0.3)), omega=float(rng.uniform(0.1, 0.5)),
+                                g=float(rng.uniform(0.1, 0.6)), n_trunc=n)
+            t = rng.uniform(0.0, 300.0, int(rng.integers(2, 600)))
+            t[rng.integers(t.shape[0])] = 0.0
+            for part in decompose(random_full_state(rng, n)):
+                h = build_chain(params, part.chain, part.amp)
+                evolve = _chain_evolution(h, h.coefficients)
+                closure = dict(zip(evolve.__code__.co_freevars,
+                                   (cell.cell_contents for cell in evolve.__closure__)))
+                rhs = np.zeros((closure["k"], t.shape[0]), dtype=complex)
+                rhs[closure["live"]] = np.exp(-1j * np.outer(closure["evals"], t)) * closure["c"]
+                both_signs += closure["evals"].min() < 0 < closure["evals"].max()
+                if evolve(t).tobytes() != (closure["v"] @ rhs).tobytes():
+                    differ.append([seed, part.chain.name])
+    return differ, both_signs
+
+
+def test_the_phases_built_in_place_keep_every_bit_of_the_evolved_block():
+    differ, both_signs = phase_product_cases(range(12))
+    assert differ == []
+    assert both_signs == 24   # every chain of the 12 states
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_chain_evolution_matches_oracle(seed):
     rng = np.random.default_rng(seed)

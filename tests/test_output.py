@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabichain import output
+from rabichain.config import FORMAT_BLOCK_BYTES
 from rabichain.dynamics import run_trajectory
 from rabichain.model import FullState, RabiParams
 from rabichain.output import (
     _BLOCK_VALUES,
+    _rows_text,
     _table_text,
     format_rows,
     intensity_map_pgm,
@@ -33,24 +35,24 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 9.999999999995e-05, 9.9999999999996e-0
 
 
 def per_value_text(header, rows):
-    """The writers' output format, one f-string per value."""
+    """The writers' output format, one f-string per value, as ASCII."""
     lines = [header] + ["\t".join(f"{v:.11e}" for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def test_edge_values_format_like_the_f_string():
     table = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
-    text = "".join(_table_text("h", table))
+    text = b"".join(_table_text("h", table))
     assert text == per_value_text("h", table.tolist())
     # the edge cases are what they claim to be
-    assert "1.00000000000e-300" in text
-    assert "9.99999999999e-05" in text
-    assert "1.00000000000e-04" in text
-    assert "-0.00000000000e+00" in text
+    assert b"1.00000000000e-300" in text
+    assert b"9.99999999999e-05" in text
+    assert b"1.00000000000e-04" in text
+    assert b"-0.00000000000e+00" in text
 
 
 def test_empty_table_is_the_header_line():
-    assert list(_table_text("a\tb", np.empty((0, 2)))) == ["a\tb\n"]
+    assert list(_table_text("a\tb", np.empty((0, 2)))) == [b"a\tb\n"]
 
 
 @given(
@@ -61,11 +63,11 @@ def test_empty_table_is_the_header_line():
     )
 )
 def test_any_finite_floats_format_like_the_f_string(rows):
-    assert "".join(_table_text("x\ty\tz", np.array(rows))) == per_value_text("x\ty\tz", rows)
+    assert b"".join(_table_text("x\ty\tz", np.array(rows))) == per_value_text("x\ty\tz", rows)
 
 
 def table_matches_per_value_text(table):
-    text = "".join(_table_text("h", table))
+    text = b"".join(_table_text("h", table))
     assert text == per_value_text("h", table.tolist())
     return text
 
@@ -74,7 +76,7 @@ def test_trailing_zero_columns_format_like_the_f_string():
     table = np.zeros((5, 6))
     table[:, :2] = [[0.25, 1e-300]] * 5
     text = table_matches_per_value_text(table)
-    assert text.splitlines()[1].endswith("\t0.00000000000e+00" * 4)
+    assert text.splitlines()[1].endswith(b"\t0.00000000000e+00" * 4)
 
 
 def test_negative_zero_in_a_trailing_column_keeps_its_sign():
@@ -82,8 +84,8 @@ def test_negative_zero_in_a_trailing_column_keeps_its_sign():
     table[:, 0] = 1.5
     table[2, 4] = -0.0
     text = table_matches_per_value_text(table)
-    assert text.splitlines()[3].endswith("\t-0.00000000000e+00")
-    assert text.count("-0.00000000000e+00") == 1
+    assert text.splitlines()[3].endswith(b"\t-0.00000000000e+00")
+    assert text.count(b"-0.00000000000e+00") == 1
 
 
 def test_all_zero_table_formats_like_the_f_string():
@@ -120,17 +122,17 @@ def test_writers_match_per_value_tables():
         (traj.t_grid[k], traj.p_e[k], traj.p_g[k], traj.p_r[k], traj.mean_n[k])
         for k in range(nt)
     ]
-    assert "".join(timeseries_text(traj)) == per_value_text("t_mm\tP_e\tP_g\tP_r\tmean_n", ts_rows)
+    assert b"".join(timeseries_text(traj)) == per_value_text("t_mm\tP_e\tP_g\tP_r\tmean_n", ts_rows)
 
     map_rows = [(traj.t_grid[k], *traj.pnt[k]) for k in range(nt)]
     header = "t_mm\t" + "\t".join(f"P{j}" for j in range(n))
-    assert "".join(intensity_map_text(traj)) == per_value_text(header, map_rows)
+    assert b"".join(intensity_map_text(traj)) == per_value_text(header, map_rows)
 
 
 def test_sweep_summary_matches_per_value_table():
     rows = [(-0.3, 0.25, 0.5, 3.75), (0.1234, 1e-300, 0.0, 12.0)]
     header = "omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n"
-    assert "".join(sweep_summary_text(rows)) == per_value_text(header, rows)
+    assert b"".join(sweep_summary_text(rows)) == per_value_text(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +140,8 @@ def test_sweep_summary_matches_per_value_table():
 # ---------------------------------------------------------------------------
 
 def percent_text(table):
-    """Rows of ``table`` as the ``%`` conversion writes them, one value at a time."""
-    return "".join("\t".join("%.11e" % v for v in row) + "\n" for row in table.tolist())
+    """Rows of ``table`` as the ``%`` conversion writes them, one value at a time, as ASCII."""
+    return "".join("\t".join("%.11e" % v for v in row) + "\n" for row in table.tolist()).encode("ascii")
 
 
 SPECIAL_BITS = np.array(
@@ -173,13 +175,13 @@ def test_a_million_random_doubles_encode_like_percent():
     bits = rng.integers(0, 2**64, size=size, dtype=np.uint64, endpoint=False).view(np.float64)
     lognormal = rng.lognormal(0.0, 40.0, size=size) * rng.choice([-1.0, 1.0], size=size)
     table = np.concatenate([bits, lognormal]).reshape(-1, 8)
-    assert "".join(_table_text("h", table)) == "h\n" + percent_text(table)
+    assert b"".join(_table_text("h", table)) == b"h\n" + percent_text(table)
 
 
 def test_exact_ties_round_half_to_even():
     table = np.array([[1000000000005.0, 1000000000015.0, -1000000000005.0]])
     assert format_rows(table) == percent_text(table)
-    assert format_rows(table) == "1.00000000000e+12\t1.00000000002e+12\t-1.00000000000e+12\n"
+    assert format_rows(table) == b"1.00000000000e+12\t1.00000000002e+12\t-1.00000000000e+12\n"
 
 
 def test_powers_of_ten_encode_like_percent():
@@ -188,7 +190,7 @@ def test_powers_of_ten_encode_like_percent():
     values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
     table = np.stack([values, -values], axis=1)
     assert format_rows(table) == percent_text(table)
-    assert format_rows(np.array([[1e23]])) == "1.00000000000e+23\n"
+    assert format_rows(np.array([[1e23]])) == b"1.00000000000e+23\n"
 
 
 def test_exponents_at_the_encoders_range_edges_encode_like_percent():
@@ -198,7 +200,7 @@ def test_exponents_at_the_encoders_range_edges_encode_like_percent():
     values += [float(f"{m!r}e{k}") for k in (-279, -280, -281, -298, -299) for m in mantissas]
     table = np.array(values).reshape(-1, 1) * np.array([1.0, -1.0])
     assert format_rows(table) == percent_text(table)
-    assert "1.00000000000e-298" in format_rows(np.array([[1e-298]]))
+    assert b"1.00000000000e-298" in format_rows(np.array([[1e-298]]))
 
 
 def test_three_digit_exponents_encode_like_percent():
@@ -206,7 +208,7 @@ def test_three_digit_exponents_encode_like_percent():
                       [1e100, -1e-101, 6.02e123, -1.1e-200, 2.5e250]])
     text = format_rows(table)
     assert text == percent_text(table)
-    assert "1.00000000000e+100" in text and "-5.00000000000e-150" in text
+    assert b"1.00000000000e+100" in text and b"-5.00000000000e-150" in text
 
 
 def test_float_range_extremes_encode_like_percent():
@@ -214,29 +216,45 @@ def test_float_range_extremes_encode_like_percent():
                       [-5e-324, -2.2250738585072014e-308, -1.7976931348623157e308]])
     text = format_rows(table)
     assert text == percent_text(table)
-    assert text.split("\n")[0] == "4.94065645841e-324\t2.22507385851e-308\t1.79769313486e+308"
+    assert text.split(b"\n")[0] == b"4.94065645841e-324\t2.22507385851e-308\t1.79769313486e+308"
 
 
 def test_signed_zeros_and_the_rounding_family_encode_like_percent():
     table = np.array([EDGE_VALUES, [-v for v in EDGE_VALUES]])
     text = format_rows(table)
     assert text == percent_text(table)
-    assert text.startswith("0.00000000000e+00\t-0.00000000000e+00\t")
+    assert text.startswith(b"0.00000000000e+00\t-0.00000000000e+00\t")
 
 
 def test_blank_cells_keep_only_their_separator():
     table = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     blank = np.array([[False, True, False], [False, False, True]])
     assert format_rows(table, blank) == (
-        "1.00000000000e+00\t\t3.00000000000e+00\n4.00000000000e+00\t5.00000000000e+00\t\n"
+        b"1.00000000000e+00\t\t3.00000000000e+00\n4.00000000000e+00\t5.00000000000e+00\t\n"
     )
+
+
+def test_encoding_a_text_block_peaks_below_the_memory_estimate():
+    # one block of 2^16 values, 256 rows of 256 columns over 300 decades: config.check_memory
+    # charges FORMAT_BLOCK_BYTES for it, so the estimate stays an upper bound
+    rng = np.random.default_rng(3)
+    t = np.arange(256) * 0.01
+    pop = rng.normal(size=(256, 255)) * 10.0 ** rng.integers(-150, 150, size=(256, 255))
+    tracemalloc.start()
+    try:
+        block = next(_rows_text(256, t, pop))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block == percent_text(np.column_stack([t, pop]))
+    assert peak < FORMAT_BLOCK_BYTES, (peak, FORMAT_BLOCK_BYTES)
 
 
 def test_write_text_writes_the_blocks_as_ascii_with_newline_line_ends(tmp_path):
     blocks = list(_table_text("a\tb", np.array([[1.5, -0.0], [np.inf, 1e-300]])))
     path = tmp_path / "table.tsv"
     write_text(path, blocks)
-    assert path.read_bytes() == "".join(blocks).encode("ascii")
+    assert path.read_bytes() == b"".join(blocks)
     assert b"\r" not in path.read_bytes()
 
 
@@ -262,11 +280,23 @@ def test_a_temporary_is_locked_from_its_creation_to_its_rename(tmp_path, monkeyp
 
     monkeypatch.setattr(output.os, "replace", checked_replace)
     with new_files() as create:
-        create(path).write("x\n")
+        create(path).write(b"x\n")
         assert held_elsewhere(tmp)
     assert at_rename == [True]   # closed, and still locked
     assert path.read_bytes() == b"x\n"
     assert not tmp.exists()
+
+
+def test_the_sweep_removes_only_temporaries_named_with_a_decimal_pid(tmp_path):
+    # files of the user's with a temporary's prefix and suffix stay; an unlocked
+    # .<name>.<digits>.tmp is a killed writer's, and goes
+    kept = [tmp_path / f".timeseries.tsv.{middle}.tmp" for middle in ("backup", "my notes", "2024-01")]
+    for path in kept:
+        path.write_bytes(b"the user's\n")
+    (tmp_path / ".timeseries.tsv.4194305.tmp").write_bytes(b"a killed run's\n")
+    write_text(tmp_path / "timeseries.tsv", b"x\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([p.name for p in kept] + ["timeseries.tsv"])
+    assert [p.read_bytes() for p in kept] == [b"the user's\n"] * 3
 
 
 def test_a_writer_whose_temporary_a_sweep_removed_creates_it_again(tmp_path, monkeypatch):
@@ -283,7 +313,7 @@ def test_a_writer_whose_temporary_a_sweep_removed_creates_it_again(tmp_path, mon
 
     monkeypatch.setattr(output, "flock", flock)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        writer = pool.submit(output._locked, tmp, True)
+        writer = pool.submit(output._locked, tmp)
         assert opened.wait(10)
         time.sleep(0.05)   # the writer waits in flock
         tmp.unlink()       # the sweep removes the file, then lets go of its lock
