@@ -2,7 +2,7 @@
 
 import builtins
 import contextlib
-import io
+import ctypes
 import json
 import os
 import random
@@ -24,6 +24,7 @@ except ImportError:   # not on Windows
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +33,6 @@ from rabichain.cli import main
 from rabichain.dynamics import grid_points
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
 from rabichain.model import FullState, ParityChain, RabiParams, decompose
-from conftest import (OPENBLAS_THREADS, blas_threads, every_openblas_at_one_thread, openblas_libraries,
-                      set_blas_threads)
 from test_dynamics import DSC, failing_lapack, perturbed_eigh_tridiagonal
 
 DSC_CONFIG = """
@@ -429,30 +428,57 @@ def test_sweep_monotone_and_parallel_deterministic(config_path, tmp_path):
     assert np.all(np.diff(data[:, 2]) < 0)  # min population strictly decreasing
 
 
-needs_openblas = pytest.mark.skipif(not blas_threads(), reason="no OpenBLAS listed in /proc/self/maps")
+# numpy's OpenBLAS as rabichain.blas finds it, and scipy's through scipy's own extension
+# module; both found as this module loads, so a test that patches ``blas`` still reads them
+NUMPY_OPENBLAS = blas._openblas()
+SCIPY_OPENBLAS = ctypes.CDLL(scipy.linalg._fblas.__file__)
 
 
-@needs_openblas
-def test_commands_cap_blas_threads_and_restore_them(config_path, tmp_path, monkeypatch, capsys):
-    before = blas_threads()
+def openblas_counts():
+    """The thread count of numpy's OpenBLAS and of scipy's."""
+    return {"numpy": NUMPY_OPENBLAS.scipy_openblas_get_num_threads64_(),
+            "scipy": SCIPY_OPENBLAS.scipy_openblas_get_num_threads()}
+
+
+COLLECTED_COUNTS = openblas_counts()   # as pytest collects the tests, with scipy loaded
+
+
+@pytest.mark.parametrize("library", ["numpy", "scipy"])
+def test_every_openblas_in_the_tests_runs_at_one_thread(library):
+    # conftest sets OPENBLAS_NUM_THREADS=1 before numpy and scipy load, whatever the shell sets
+    assert COLLECTED_COUNTS[library] == 1
+
+
+@pytest.fixture
+def numpy_threads():
+    """Sets numpy's OpenBLAS thread count; raised to 2 first, so that a cap to 1 shows, and restored after."""
+    set_threads, before = NUMPY_OPENBLAS.scipy_openblas_set_num_threads64_, openblas_counts()["numpy"]
+    set_threads(2)
+    assert openblas_counts()["numpy"] == 2
+    yield set_threads
+    set_threads(before)
+
+
+def test_commands_cap_blas_threads_and_restore_them(config_path, tmp_path, monkeypatch, capsys, numpy_threads):
+    before = openblas_counts()
     seen = {}
     real_validation, real_point = cli.run_validation, cli._sweep_point
 
     def validation():
-        seen["validate"] = blas_threads()
+        seen["validate"] = openblas_counts()
         return real_validation()
 
     def point(*args):
-        seen["sweep"] = blas_threads()
+        seen["sweep"] = openblas_counts()
         return real_point(*args)
 
     monkeypatch.setattr(cli, "run_validation", validation)
     monkeypatch.setattr(cli, "_sweep_point", point)
     assert main(["validate"]) == 0
-    assert blas_threads() == before
+    assert openblas_counts() == before
     assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"),
                  "--omega0-list=-0.04,0,0.04", "--jobs", "2"]) == 0
-    assert blas_threads() == before
+    assert openblas_counts() == before
     assert seen["validate"] == seen["sweep"] == {**before, "numpy": 1}   # scipy's keeps its count
 
 
@@ -472,13 +498,11 @@ def no_numpy_openblas(monkeypatch):
     monkeypatch.setattr(blas, "_lapack", blas._lapack.__wrapped__)   # not the handle found already
 
 
-def proc_reads(monkeypatch, maps=None):
-    """Make ``open`` refuse every /proc path but /proc/self/maps, which reads as ``maps`` (None: refused too)."""
+def proc_reads(monkeypatch):
+    """Make ``open`` refuse every /proc path."""
     real_open = open
 
     def fake_open(path, *args, **kwargs):
-        if str(path) == "/proc/self/maps" and maps is not None:
-            return io.StringIO(maps)
         if str(path).startswith("/proc"):
             raise PermissionError(f"no access to {path}")
         return real_open(path, *args, **kwargs)
@@ -486,22 +510,13 @@ def proc_reads(monkeypatch, maps=None):
     monkeypatch.setattr(builtins, "open", fake_open)
 
 
-@pytest.mark.parametrize("maps", [None, "", "7f00-7f01 r-xp 00000000 08:01 42 /usr/lib/libm.so.6\n"])
-def test_blas_cap_does_nothing_without_an_openblas_listed(monkeypatch, maps):
-    # neither numpy's handle nor /proc/self/maps (None: unreadable) lists an OpenBLAS: the cap
-    # sets no count.  The counts are read through the libraries listed before the patches
-    libraries = openblas_libraries()
-
-    def counts():
-        return {build: getattr(handle, OPENBLAS_THREADS[build][0])() for build, handle in libraries.items()}
-
-    before = counts()
+def test_blas_cap_does_nothing_without_numpys_thread_symbols(monkeypatch, numpy_threads):
+    # numpy's handle resolves no symbol: the cap sets no count
+    before = openblas_counts()
     no_numpy_openblas(monkeypatch)
-    proc_reads(monkeypatch, maps)
-    assert blas_threads() == {}
     with blas.one_thread():
-        assert counts() == before
-    assert counts() == before
+        assert openblas_counts() == before
+    assert openblas_counts() == before
     assert blas.numpy_core.__wrapped__() is None   # no core to read: the full product
 
 
@@ -521,7 +536,7 @@ def test_a_missing_lapack_exits_2_naming_both_symbols(config_path, tmp_path, cap
     assert (tmp_path / "out" / "recipe.tsv").exists()
 
 
-def test_numpys_openblas_is_found_without_reading_proc(monkeypatch):
+def test_numpys_openblas_is_found_without_reading_proc(monkeypatch, numpy_threads):
     # numpy's extension module leads to its OpenBLAS: no /proc file is read, on any platform
     core = blas.numpy_core()
     proc_reads(monkeypatch)
@@ -545,9 +560,10 @@ def run_fresh(script, *args, env=None):
     """Run ``script`` in a new interpreter on this rabichain; its last stdout line, as JSON.
 
     pytest has imported scipy here already: what a command loads, and when,
-    shows only in a fresh process.  The child can import ``conftest`` too.
-    It sees none of the shell's BLAS_THREAD_VARIABLES, so its OpenBLAS start
-    at their default count; ``env`` adds variables.
+    shows only in a fresh process.  The child can import the test modules.
+    It sees none of BLAS_THREAD_VARIABLES, neither the shell's nor conftest's
+    OPENBLAS_NUM_THREADS=1, so its OpenBLAS start at their default count;
+    ``env`` adds variables.
     """
     env = {**{k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES},
            "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]),
@@ -575,24 +591,32 @@ def test_package_names_load_their_module_on_first_use():
         rabichain.observables
 
 
+# Defines counts() in a fresh interpreter: numpy's OpenBLAS thread count, read through
+# rabichain.blas, and scipy's once scipy.linalg is loaded, read through its extension module
+COUNTS = """
+import ctypes, sys
+from rabichain import blas
+def counts():
+    linalg = sys.modules.get("scipy.linalg")
+    scipy = {} if linalg is None else {"scipy": ctypes.CDLL(linalg._fblas.__file__).scipy_openblas_get_num_threads()}
+    return {"numpy": blas._openblas().scipy_openblas_get_num_threads64_(), **scipy}
+"""
+
 # Imports the CLI first, as `python -m rabichain.cli` and the console script do; then
 # runs the command and counts this process's threads.  A joined Python thread may take
 # a moment to leave /proc; an OpenBLAS worker never does.
-FRESH_CLI = """
-import json, os, sys, time
-import rabichain.cli
-from conftest import blas_threads
-loaded = blas_threads()
+FRESH_CLI = "import rabichain.cli\n" + COUNTS + """
+import json, os, time
+loaded = counts()
 rc = rabichain.cli.main(sys.argv[1:])
 deadline = time.monotonic() + 5
 while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
     time.sleep(0.01)
-print(json.dumps({"rc": rc, "loaded": loaded, "after": blas_threads(),
+print(json.dumps({"rc": rc, "loaded": loaded, "after": counts(),
                   "threads": len(os.listdir("/proc/self/task"))}))
 """
 
 
-@needs_openblas
 @pytest.mark.parametrize("command", [
     ["simulate", "--image"], ["sweep", "--omega0-list=-0.04,0,0.04", "--jobs", "2"],
     ["validate"], ["design"],
@@ -683,16 +707,14 @@ def test_no_command_needs_scipy(config_path, tmp_path, capsys):
 # their default counts.  A command caps every OpenBLAS the package calls, numpy's, and
 # leaves scipy's count alone.  Records the thread counts once the command's solves have
 # run, still inside its cap.
-FRESH_BLAS = """
-import json, sys
-import scipy.linalg
-from conftest import blas_threads
+FRESH_BLAS = "import scipy.linalg\n" + COUNTS + """
+import json
 from rabichain import cli
 seen = {}
 def recorded(name, fn):
     def call(*args):
         result = fn(*args)
-        seen[name] = blas_threads()
+        seen[name] = counts()
         return result
     return call
 cli.run_validation = recorded("validate", cli.run_validation)
@@ -700,18 +722,16 @@ cli._sweep_point = recorded("sweep", cli._sweep_point)
 cli.timeseries_rows = recorded("simulate", cli.timeseries_rows)
 cli.intensity_map_rows = recorded("simulate", cli.intensity_map_rows)
 rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "seen": seen, "after": blas_threads()}))
+print(json.dumps({"rc": rc, "seen": seen, "after": counts()}))
 """
 
 
 @pytest.fixture(scope="module")
 def fresh_counts():
     """The thread counts of a fresh interpreter that has imported scipy, so both OpenBLAS, and run nothing."""
-    return run_fresh("import json\nimport scipy.linalg\nfrom conftest import blas_threads\n"
-                     "print(json.dumps(blas_threads()))\n")
+    return run_fresh("import scipy.linalg\n" + COUNTS + "import json\nprint(json.dumps(counts()))\n")
 
 
-@needs_openblas
 def test_validate_caps_every_openblas_in_a_fresh_interpreter(fresh_counts):
     run = run_fresh(FRESH_BLAS, "validate")
     assert run["rc"] == 0
@@ -719,7 +739,6 @@ def test_validate_caps_every_openblas_in_a_fresh_interpreter(fresh_counts):
     assert run["after"] == fresh_counts
 
 
-@needs_openblas
 def test_sweep_caps_every_openblas_in_a_fresh_interpreter(config_path, tmp_path, fresh_counts):
     run = run_fresh(FRESH_BLAS, "sweep", "--config", config_path, "--out", tmp_path / "out",
                     "--omega0-list=-0.04,0,0.04", "--jobs", "2")
@@ -728,7 +747,6 @@ def test_sweep_caps_every_openblas_in_a_fresh_interpreter(config_path, tmp_path,
     assert run["after"] == fresh_counts
 
 
-@needs_openblas
 @pytest.mark.parametrize("outputs", ["timeseries, intensity_map", "timeseries"])
 def test_simulate_runs_every_openblas_at_one_thread(tmp_path, outputs, fresh_counts):
     # with a map or without, whatever the CPU count: the writer thread is the parallelism
@@ -785,23 +803,18 @@ def test_the_block_layout_keeps_the_whole_grid_bits_on_a_forced_openblas_core(co
     assert read == [core, 24, [], []]
 
 
-@needs_openblas
-def test_simulate_files_do_not_depend_on_the_cpu_count_or_the_blas_threads(tmp_path):
+def test_simulate_files_do_not_depend_on_the_cpu_count_or_the_blas_threads(tmp_path, numpy_threads):
     # a map over two blocks at n_trunc 300: evolved at 2 BLAS threads, 1,436 of its 2,049
     # rows differed from the 1-thread run's in the last bit
     cfg = tmp_path / "run.cfg"
     cfg.write_text(DSC_CONFIG.replace("g = 0.15", "g = 0.4").replace("n_trunc = 64", "n_trunc = 300")
                    .replace("t_max = 60", "t_max = 204.8"))
     files = ["timeseries.tsv", "intensity_map.tsv", "intensity_map.pgm"]
-    before = blas_threads()
-    with every_openblas_at_one_thread():   # the reference run's count; the old counts are back after
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "one"), "--image"]) == 0
-        two = dict.fromkeys(before, 2)
-        if set_blas_threads(two) != two:
-            pytest.skip("an OpenBLAS here cannot be set to 2 threads")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "two"), "--image"]) == 0
-        assert blas_threads() == two
-    assert blas_threads() == before
+    numpy_threads(1)   # the reference run's count
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "one"), "--image"]) == 0
+    numpy_threads(2)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "two"), "--image"]) == 0
+    assert openblas_counts() == {"numpy": 2, "scipy": 1}   # scipy's keeps its count
     for name in files:
         assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 

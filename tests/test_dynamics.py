@@ -15,7 +15,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import every_openblas_at_one_thread
 from rabichain import blas, dynamics
 from rabichain.dynamics import (
     DECOMPOSITION_TOL,
@@ -167,7 +166,8 @@ def chain_matrix(n_trunc, g, omega0, chain):
 def test_eigensolve_is_bit_identical_to_scipy_eigh_tridiagonal(n_trunc):
     # LAPACK's dstevd in numpy's OpenBLAS and in scipy's: every bit of both results agrees at
     # one BLAS thread, as the CLI runs (at 2, scipy's own bits differ at n_trunc 300, g 0.3).
-    # The package sets numpy's count alone; the reference runs in scipy's, set here.
+    # The package sets numpy's count alone; the reference runs in scipy's, which conftest's
+    # OPENBLAS_NUM_THREADS=1 loads at one thread.
     # Every g, omega0 and sign at the small sizes; at the large ones, four of them
     cases = list(itertools.product([0.05, 0.3, 2.0], [0.0, 0.04, 0.3], ParityChain))
     if n_trunc > 300:
@@ -177,8 +177,7 @@ def test_eigensolve_is_bit_identical_to_scipy_eigh_tridiagonal(n_trunc):
         diag, offdiag = chain_matrix(n_trunc, *case)
         with blas.one_thread():
             evals, evecs = dynamics.eigh_tridiagonal(diag, offdiag)
-        with every_openblas_at_one_thread():
-            want_evals, want_evecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+        want_evals, want_evecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
         assert evecs.flags.f_contiguous and want_evecs.flags.f_contiguous, case
         assert evals.tobytes() == want_evals.tobytes(), case
         assert evecs.tobytes() == want_evecs.tobytes(), case
@@ -796,7 +795,8 @@ def test_full_rabi_refuses_oversized_problems():
 @pytest.mark.parametrize("n_trunc", [2, 32, 64, 256])
 def test_dense_oracle_is_bit_identical_to_scipy_eigh(n_trunc):
     # dsyevr with the workspace scipy.linalg.eigh queries: every bit of the evolution agrees
-    # at one BLAS thread, as the CLI runs.  The reference's eigh runs in scipy's OpenBLAS
+    # at one BLAS thread, as the CLI runs.  The reference's eigh runs in scipy's OpenBLAS,
+    # which conftest's OPENBLAS_NUM_THREADS=1 loads at one thread
     initial = random_full_state(np.random.default_rng(n_trunc), n_trunc)
     psi0 = np.empty(2 * n_trunc, dtype=complex)
     psi0[0::2], psi0[1::2] = initial.amp_g, initial.amp_e
@@ -804,8 +804,7 @@ def test_dense_oracle_is_bit_identical_to_scipy_eigh(n_trunc):
     for omega0, g in itertools.product([0.0, 0.04, 0.3], [0.05, 0.3, 2.0]):
         p = RabiParams(omega0=omega0, omega=0.23, g=g, n_trunc=n_trunc)
         with blas.one_thread():
-            with every_openblas_at_one_thread():
-                evals, evecs = scipy.linalg.eigh(full_rabi_matrix(p))
+            evals, evecs = scipy.linalg.eigh(full_rabi_matrix(p))
             psi_t = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.T @ psi0)[:, None])
             amp_e, amp_g = full_rabi_amplitudes(p, initial, times)
         assert amp_e.tobytes() == psi_t[1::2].tobytes(), (omega0, g)
