@@ -2,7 +2,6 @@
 
 import builtins
 import contextlib
-import ctypes
 import json
 import os
 import random
@@ -24,7 +23,7 @@ except ImportError:   # not on Windows
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg   # loads scipy's OpenBLAS, whose count the tests read
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +33,7 @@ from rabichain.dynamics import grid_points
 from rabichain.lattice import CouplingCalibration, OpticalConstants, parse_recipe, verify_recipe
 from rabichain.model import FullState, ParityChain, RabiParams, decompose
 from test_dynamics import DSC, failing_lapack, perturbed_eigh_tridiagonal
+from thread_counts import NUMPY_SET, openblas_counts, scipy_openblas
 
 DSC_CONFIG = """
 [model]
@@ -164,22 +164,23 @@ def test_streamed_files_are_the_text_of_the_whole_trajectory(tmp_path, points):
     (tmp_path / "run.cfg").write_text(text)
     run = config.load_config(tmp_path / "run.cfg")
     n = run.params.n_trunc
-    with blas.one_thread():   # every array can differ in the last bit between thread counts
-        traj = dynamics.run_trajectory(run.params, run.initial, run.t_max, run.dt)
-        assert traj.t_grid.shape[0] == points
-        assert traj.pnt[:, -1].max() == 0.0 < traj.pnt[:, 0].max()
-        whole = {"timeseries.tsv": b"".join(output.timeseries_text(traj)),
-                 "intensity_map.tsv": b"".join(output.intensity_map_text(traj)),
-                 "intensity_map.pgm": output.intensity_map_pgm(traj.pnt.T, n)}
-        for i, (outputs, image) in enumerate([("timeseries", False), ("intensity_map", False),
-                                              ("timeseries, intensity_map", True), ("", True)]):
-            cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"out{i}"
-            cfg.write_text(text + f"\n[output]\noutputs = {outputs}\n")
-            assert main(["simulate", "--config", str(cfg), "--out", str(out)]
-                        + ["--image"] * image) == 0
-            names = [f"{kind.strip()}.tsv" for kind in outputs.split(",") if kind.strip()]
-            names += ["intensity_map.pgm"] * image
-            assert {p.name: p.read_bytes() for p in out.iterdir()} == {k: whole[k] for k in names}
+    # at one BLAS thread (conftest), as simulate runs: every array can differ in the last bit
+    # between thread counts
+    traj = dynamics.run_trajectory(run.params, run.initial, run.t_max, run.dt)
+    assert traj.t_grid.shape[0] == points
+    assert traj.pnt[:, -1].max() == 0.0 < traj.pnt[:, 0].max()
+    whole = {"timeseries.tsv": b"".join(output.timeseries_text(traj)),
+             "intensity_map.tsv": b"".join(output.intensity_map_text(traj)),
+             "intensity_map.pgm": output.intensity_map_pgm(traj.pnt.T, n)}
+    for i, (outputs, image) in enumerate([("timeseries", False), ("intensity_map", False),
+                                          ("timeseries, intensity_map", True), ("", True)]):
+        cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"out{i}"
+        cfg.write_text(text + f"\n[output]\noutputs = {outputs}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]
+                    + ["--image"] * image) == 0
+        names = [f"{kind.strip()}.tsv" for kind in outputs.split(",") if kind.strip()]
+        names += ["intensity_map.pgm"] * image
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {k: whole[k] for k in names}
 
 
 def test_truncation_note_is_the_top_site_occupancy_of_the_whole_map(tmp_path, capsys):
@@ -367,14 +368,13 @@ def test_sweep_folds_the_extremes_of_the_whole_trajectory(tmp_path, points):
     cfg.write_text(DSC_CONFIG.replace("dt = 0.1", f"dt = {dt!r}"))
     omega0_list = [-0.08, 0.0, 0.05]
     rows = []
-    with blas.one_thread():   # as the sweep pool runs
-        for v in omega0_list:
-            params = RabiParams(omega0=abs(v), omega=0.23, g=0.15, n_trunc=64)
-            initial = FullState.basis_state("e" if v >= 0 else "g", 0, 64)
-            traj = dynamics.run_trajectory(params, initial, t_bounce, dt)
-            assert traj.t_grid.shape[0] == points
-            population = traj.p_e if v >= 0 else traj.p_g
-            rows.append((v, traj.p_r.min(), population.min(), traj.mean_n.max()))
+    for v in omega0_list:   # at one BLAS thread (conftest), as the sweep pool runs
+        params = RabiParams(omega0=abs(v), omega=0.23, g=0.15, n_trunc=64)
+        initial = FullState.basis_state("e" if v >= 0 else "g", 0, 64)
+        traj = dynamics.run_trajectory(params, initial, t_bounce, dt)
+        assert traj.t_grid.shape[0] == points
+        population = traj.p_e if v >= 0 else traj.p_g
+        rows.append((v, traj.p_r.min(), population.min(), traj.mean_n.max()))
     whole = b"".join(output.sweep_summary_text(rows))
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
@@ -389,10 +389,10 @@ def test_sweep_notes_each_truncation_contaminated_point_in_list_order(tmp_path, 
     cfg = tmp_path / "run.cfg"
     cfg.write_text(DSC_CONFIG.replace("g = 0.15", "g = 0.3").replace("n_trunc = 64", "n_trunc = 8"))
     t_bounce = 2 * np.pi / 0.23
-    with blas.one_thread():   # as the sweep pool runs
-        tops = [dynamics.run_trajectory(RabiParams(omega0=v, omega=0.23, g=0.3, n_trunc=8),
-                                        FullState.basis_state("e", 0, 8), t_bounce, 0.1)
-                .top_site_occupancy for v in (0.1, 0.0)]
+    # at one BLAS thread (conftest), as the sweep pool runs
+    tops = [dynamics.run_trajectory(RabiParams(omega0=v, omega=0.23, g=0.3, n_trunc=8),
+                                    FullState.basis_state("e", 0, 8), t_bounce, 0.1)
+            .top_site_occupancy for v in (0.1, 0.0)]
     assert min(tops) > 0.3
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", jobs,
                  "--omega0-list=0.1,0"]) == 0
@@ -428,18 +428,6 @@ def test_sweep_monotone_and_parallel_deterministic(config_path, tmp_path):
     assert np.all(np.diff(data[:, 2]) < 0)  # min population strictly decreasing
 
 
-# numpy's OpenBLAS as rabichain.blas finds it, and scipy's through scipy's own extension
-# module; both found as this module loads, so a test that patches ``blas`` still reads them
-NUMPY_OPENBLAS = blas._openblas()
-SCIPY_OPENBLAS = ctypes.CDLL(scipy.linalg._fblas.__file__)
-
-
-def openblas_counts():
-    """The thread count of numpy's OpenBLAS and of scipy's."""
-    return {"numpy": NUMPY_OPENBLAS.scipy_openblas_get_num_threads64_(),
-            "scipy": SCIPY_OPENBLAS.scipy_openblas_get_num_threads()}
-
-
 COLLECTED_COUNTS = openblas_counts()   # as pytest collects the tests, with scipy loaded
 
 
@@ -451,12 +439,15 @@ def test_every_openblas_in_the_tests_runs_at_one_thread(library):
 
 @pytest.fixture
 def numpy_threads():
-    """Sets numpy's OpenBLAS thread count; raised to 2 first, so that a cap to 1 shows, and restored after."""
-    set_threads, before = NUMPY_OPENBLAS.scipy_openblas_set_num_threads64_, openblas_counts()["numpy"]
-    set_threads(2)
-    assert openblas_counts()["numpy"] == 2
-    yield set_threads
-    set_threads(before)
+    """Sets numpy's OpenBLAS thread count.  numpy's and scipy's are raised to 2 first, so that a
+    cap to 1, or a cap that reaches scipy's, shows; both are restored after."""
+    before, scipy_set = openblas_counts(), scipy_openblas().scipy_openblas_set_num_threads
+    NUMPY_SET(2)
+    scipy_set(2)
+    assert openblas_counts() == {"numpy": 2, "scipy": 2}
+    yield NUMPY_SET
+    NUMPY_SET(before["numpy"])
+    scipy_set(before["scipy"])
 
 
 def test_commands_cap_blas_threads_and_restore_them(config_path, tmp_path, monkeypatch, capsys, numpy_threads):
@@ -482,7 +473,8 @@ def test_commands_cap_blas_threads_and_restore_them(config_path, tmp_path, monke
     assert seen["validate"] == seen["sweep"] == {**before, "numpy": 1}   # scipy's keeps its count
 
 
-def test_sweep_output_does_not_depend_on_the_blas_cap(config_path, tmp_path, monkeypatch):
+def test_sweep_output_does_not_depend_on_the_blas_cap(config_path, tmp_path, monkeypatch, numpy_threads):
+    # capped at one thread, then without the cap at 2
     args = ["sweep", "--config", str(config_path), "--omega0-list=-0.08,-0.04,0,0.04,0.08",
             "--jobs", "2"]
     assert main(args + ["--out", str(tmp_path / "capped")]) == 0
@@ -543,7 +535,7 @@ def test_numpys_openblas_is_found_without_reading_proc(monkeypatch, numpy_thread
     monkeypatch.setattr(blas, "_openblas", blas._openblas.__wrapped__)   # looked up afresh
     monkeypatch.setattr(blas, "_lapack", blas._lapack.__wrapped__)
     assert blas.numpy_core.__wrapped__() == core
-    count = blas._openblas().scipy_openblas_get_num_threads64_
+    count = getattr(blas._openblas(), blas._THREADS[0])
     before = count()
     with blas.one_thread():
         assert count() == 1
@@ -591,28 +583,18 @@ def test_package_names_load_their_module_on_first_use():
         rabichain.observables
 
 
-# Defines counts() in a fresh interpreter: numpy's OpenBLAS thread count, read through
-# rabichain.blas, and scipy's once scipy.linalg is loaded, read through its extension module
-COUNTS = """
-import ctypes, sys
-from rabichain import blas
-def counts():
-    linalg = sys.modules.get("scipy.linalg")
-    scipy = {} if linalg is None else {"scipy": ctypes.CDLL(linalg._fblas.__file__).scipy_openblas_get_num_threads()}
-    return {"numpy": blas._openblas().scipy_openblas_get_num_threads64_(), **scipy}
-"""
-
 # Imports the CLI first, as `python -m rabichain.cli` and the console script do; then
 # runs the command and counts this process's threads.  A joined Python thread may take
 # a moment to leave /proc; an OpenBLAS worker never does.
-FRESH_CLI = "import rabichain.cli\n" + COUNTS + """
-import json, os, time
-loaded = counts()
+FRESH_CLI = """import rabichain.cli
+import json, os, sys, time
+from thread_counts import openblas_counts
+loaded = openblas_counts()
 rc = rabichain.cli.main(sys.argv[1:])
 deadline = time.monotonic() + 5
 while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
     time.sleep(0.01)
-print(json.dumps({"rc": rc, "loaded": loaded, "after": counts(),
+print(json.dumps({"rc": rc, "loaded": loaded, "after": openblas_counts(),
                   "threads": len(os.listdir("/proc/self/task"))}))
 """
 
@@ -707,14 +689,15 @@ def test_no_command_needs_scipy(config_path, tmp_path, capsys):
 # their default counts.  A command caps every OpenBLAS the package calls, numpy's, and
 # leaves scipy's count alone.  Records the thread counts once the command's solves have
 # run, still inside its cap.
-FRESH_BLAS = "import scipy.linalg\n" + COUNTS + """
-import json
+FRESH_BLAS = """import scipy.linalg
+import json, sys
 from rabichain import cli
+from thread_counts import openblas_counts
 seen = {}
 def recorded(name, fn):
     def call(*args):
         result = fn(*args)
-        seen[name] = counts()
+        seen[name] = openblas_counts()
         return result
     return call
 cli.run_validation = recorded("validate", cli.run_validation)
@@ -722,14 +705,15 @@ cli._sweep_point = recorded("sweep", cli._sweep_point)
 cli.timeseries_rows = recorded("simulate", cli.timeseries_rows)
 cli.intensity_map_rows = recorded("simulate", cli.intensity_map_rows)
 rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "seen": seen, "after": counts()}))
+print(json.dumps({"rc": rc, "seen": seen, "after": openblas_counts()}))
 """
 
 
 @pytest.fixture(scope="module")
 def fresh_counts():
     """The thread counts of a fresh interpreter that has imported scipy, so both OpenBLAS, and run nothing."""
-    return run_fresh("import scipy.linalg\n" + COUNTS + "import json\nprint(json.dumps(counts()))\n")
+    return run_fresh("import json, scipy.linalg\nfrom thread_counts import openblas_counts\n"
+                     "print(json.dumps(openblas_counts()))\n")
 
 
 def test_validate_caps_every_openblas_in_a_fresh_interpreter(fresh_counts):
@@ -788,7 +772,8 @@ with blas.one_thread():
                 cases += 1
                 if not np.array_equal(getattr(blocked, name), getattr(whole, name)):
                     differ.append([n, points, name])
-print(json.dumps([blas.numpy_core(), cases, differ, phase_product_cases(range(12))[0]]))
+    phase_differ = phase_product_cases(range(12))[0]
+print(json.dumps([blas.numpy_core(), cases, differ, phase_differ]))
 """
 
 
@@ -814,7 +799,7 @@ def test_simulate_files_do_not_depend_on_the_cpu_count_or_the_blas_threads(tmp_p
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "one"), "--image"]) == 0
     numpy_threads(2)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "two"), "--image"]) == 0
-    assert openblas_counts() == {"numpy": 2, "scipy": 1}   # scipy's keeps its count
+    assert openblas_counts() == {"numpy": 2, "scipy": 2}   # scipy's keeps its count
     for name in files:
         assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 

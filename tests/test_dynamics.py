@@ -125,11 +125,11 @@ def test_eigendecomposition_invariants():
 @pytest.mark.parametrize("n_trunc, g", [(64, 0.15), (1024, 0.81)])
 def test_chain_keeps_the_quality_figures_of_its_eigensolve(n_trunc, g):
     p = RabiParams(omega0=-0.08, omega=0.23, g=g, n_trunc=n_trunc)
-    with blas.one_thread():   # the Gram matrix's product splits its work by the thread count
-        h = build_chain(p, ParityChain.F)
-        v = h.eigenvectors
-        residual = np.abs(h.apply(v) - v * h.eigenvalues).max()
-        orthogonality = np.abs(v.T @ v - np.eye(n_trunc)).max()
+    # at one BLAS thread (conftest): the Gram matrix's product splits its work by the thread count
+    h = build_chain(p, ParityChain.F)
+    v = h.eigenvectors
+    residual = np.abs(h.apply(v) - v * h.eigenvalues).max()
+    orthogonality = np.abs(v.T @ v - np.eye(n_trunc)).max()
     scale = max(np.abs(h.diag).max(), np.abs(h.offdiag).max(), 1.0)
     assert h.residual == residual <= DECOMPOSITION_TOL * scale
     assert h.orthogonality == orthogonality <= DECOMPOSITION_TOL
@@ -140,15 +140,14 @@ def test_chain_keeps_the_quality_figures_of_its_eigensolve(n_trunc, g):
 def test_chain_built_for_a_state_keeps_the_figures_of_the_columns_it_occupies(initial, band):
     p = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=1024)
     amp = decompose(FullState.basis_state("e", int(initial[1:]), 1024))[0].amp   # on the C chain
-    with blas.one_thread():
-        h = build_chain(p, ParityChain.C, amp)
-        live = np.flatnonzero(h.coefficients)
-        v = h.eigenvectors[:, slice(*band)]
-        assert (live[0], live[-1] + 1) == band and live.size == band[1] - band[0]
-        assert h.coefficients.tobytes() == (h.eigenvectors.T @ amp).tobytes()
-        residual = np.abs(h.apply(v) - v * h.eigenvalues[slice(*band)]).max()
-        orthogonality = np.abs(v.T @ v - np.eye(v.shape[1])).max()
-        reconstruction = np.abs(amp - v @ h.coefficients[slice(*band)]).max()
+    h = build_chain(p, ParityChain.C, amp)   # at one BLAS thread (conftest), as the figures were
+    live = np.flatnonzero(h.coefficients)
+    v = h.eigenvectors[:, slice(*band)]
+    assert (live[0], live[-1] + 1) == band and live.size == band[1] - band[0]
+    assert h.coefficients.tobytes() == (h.eigenvectors.T @ amp).tobytes()
+    residual = np.abs(h.apply(v) - v * h.eigenvalues[slice(*band)]).max()
+    orthogonality = np.abs(v.T @ v - np.eye(v.shape[1])).max()
+    reconstruction = np.abs(amp - v @ h.coefficients[slice(*band)]).max()
     assert (h.residual, h.orthogonality, h.reconstruction) == (residual, orthogonality, reconstruction)
     scale = max(np.abs(h.diag).max(), np.abs(h.offdiag).max(), 1.0)
     assert 0.0 < h.residual <= DECOMPOSITION_TOL * scale
@@ -166,8 +165,8 @@ def chain_matrix(n_trunc, g, omega0, chain):
 def test_eigensolve_is_bit_identical_to_scipy_eigh_tridiagonal(n_trunc):
     # LAPACK's dstevd in numpy's OpenBLAS and in scipy's: every bit of both results agrees at
     # one BLAS thread, as the CLI runs (at 2, scipy's own bits differ at n_trunc 300, g 0.3).
-    # The package sets numpy's count alone; the reference runs in scipy's, which conftest's
-    # OPENBLAS_NUM_THREADS=1 loads at one thread.
+    # conftest's OPENBLAS_NUM_THREADS=1 loads both OpenBLAS, numpy's and the reference's in
+    # scipy, at one thread.
     # Every g, omega0 and sign at the small sizes; at the large ones, four of them
     cases = list(itertools.product([0.05, 0.3, 2.0], [0.0, 0.04, 0.3], ParityChain))
     if n_trunc > 300:
@@ -175,8 +174,7 @@ def test_eigensolve_is_bit_identical_to_scipy_eigh_tridiagonal(n_trunc):
                  (2.0, 0.3, ParityChain.C), (2.0, 0.3, ParityChain.F)]
     for case in cases:
         diag, offdiag = chain_matrix(n_trunc, *case)
-        with blas.one_thread():
-            evals, evecs = dynamics.eigh_tridiagonal(diag, offdiag)
+        evals, evecs = dynamics.eigh_tridiagonal(diag, offdiag)
         want_evals, want_evecs = scipy.linalg.eigh_tridiagonal(diag, offdiag)
         assert evecs.flags.f_contiguous and want_evecs.flags.f_contiguous, case
         assert evals.tobytes() == want_evals.tobytes(), case
@@ -253,17 +251,16 @@ def longest_stall_during(solve):
 def test_the_eigensolve_releases_the_gil(monkeypatch):
     # while a worker solves an n_trunc 2048 chain (about 0.1 s), Python keeps running here
     diag, offdiag = chain_matrix(2048, 0.3, 0.04, ParityChain.C)
-    with blas.one_thread():
-        took, stall = longest_stall_during(lambda: dynamics.eigh_tridiagonal(diag, offdiag))
-        assert stall < took / 2, (stall, took)
-        # the measure sees a binding that holds the GIL: the same symbol through ctypes.PyDLL
-        held = ctypes.PyDLL(blas._lapack()._name)
-        for symbol in ("scipy_dstevd_64_", "scipy_dsyevr_64_"):
-            getattr(held, symbol).argtypes = getattr(blas._lapack(), symbol).argtypes
-            getattr(held, symbol).restype = None
-        monkeypatch.setattr(blas, "_lapack", lambda: held)
-        took, stall = longest_stall_during(lambda: dynamics.eigh_tridiagonal(diag, offdiag))
-        assert stall > took / 2, (stall, took)
+    took, stall = longest_stall_during(lambda: dynamics.eigh_tridiagonal(diag, offdiag))
+    assert stall < took / 2, (stall, took)
+    # the measure sees a binding that holds the GIL: the same symbol through ctypes.PyDLL
+    held = ctypes.PyDLL(blas._lapack()._name)
+    for symbol in ("scipy_dstevd_64_", "scipy_dsyevr_64_"):
+        getattr(held, symbol).argtypes = getattr(blas._lapack(), symbol).argtypes
+        getattr(held, symbol).restype = None
+    monkeypatch.setattr(blas, "_lapack", lambda: held)
+    took, stall = longest_stall_during(lambda: dynamics.eigh_tridiagonal(diag, offdiag))
+    assert stall > took / 2, (stall, took)
 
 
 def perturbed_eigh_tridiagonal(perturb, k=3):
@@ -508,18 +505,17 @@ def test_restricted_propagation_is_bit_identical_to_the_full_product(
     assert used == (inner if blas.numpy_core() in dynamics.PANEL_CORES else n)
     # 61 points are one block.  1025, 1026 and 1087 points leave a last 1024-point block of 1,
     # 2 and 63 points, which joins the first; 1088 leave one of 64, which stands; 2049 are two
-    # blocks, the second with the 1-point tail.  At one BLAS thread: with more, gemv splits its
-    # rows by the length of the call, so P_r and <n> of a block can differ in the last bit from
-    # the whole-grid product (dynamics docstring).
-    with blas.one_thread():
-        for points in (61, 1025, 1026, 1087, 1088, 2049):
-            traj = run_trajectory(params, initial, (points - 1) * 0.1, 0.1)
-            assert traj.t_grid.shape[0] == points
-            _, _, pnt, p_e, p_r, mean_n = unrestricted_observables(params, initial, traj.t_grid)
-            assert np.array_equal(traj.pnt, pnt)
-            assert np.array_equal(traj.p_e, p_e)
-            assert np.array_equal(traj.p_r, p_r)
-            assert np.array_equal(traj.mean_n, mean_n)
+    # blocks, the second with the 1-point tail.  At one BLAS thread (conftest): with more, gemv
+    # splits its rows by the length of the call, so P_r and <n> of a block can differ in the
+    # last bit from the whole-grid product (dynamics docstring).
+    for points in (61, 1025, 1026, 1087, 1088, 2049):
+        traj = run_trajectory(params, initial, (points - 1) * 0.1, 0.1)
+        assert traj.t_grid.shape[0] == points
+        _, _, pnt, p_e, p_r, mean_n = unrestricted_observables(params, initial, traj.t_grid)
+        assert np.array_equal(traj.pnt, pnt)
+        assert np.array_equal(traj.p_e, p_e)
+        assert np.array_equal(traj.p_r, p_r)
+        assert np.array_equal(traj.mean_n, mean_n)
     for k in (0, 17, -1):
         amp_e, amp_g, *_ = unrestricted_observables(params, initial, traj.t_grid[k:k + 1 or None])
         state = chain_reference_state(params, initial, float(traj.t_grid[k]))
@@ -546,11 +542,10 @@ def test_inner_dimension_cuts_at_panels_only_on_a_checked_core(live_end, n, inne
 def test_an_unchecked_core_takes_the_full_product_with_the_same_bits(monkeypatch, core):
     n = 1024
     params, e0 = RabiParams(omega0=0.0, omega=0.23, g=0.15, n_trunc=n), FullState.basis_state("e", 0, n)
-    with blas.one_thread():
-        cut = run_trajectory(params, e0, 120.0, 0.1)   # on the running core: K' 256 on SkylakeX
-        monkeypatch.setattr(blas, "numpy_core", lambda: core)
-        assert largest_reach(params, e0) == (256, n)
-        full = run_trajectory(params, e0, 120.0, 0.1)
+    cut = run_trajectory(params, e0, 120.0, 0.1)   # on the running core: K' 256 on SkylakeX
+    monkeypatch.setattr(blas, "numpy_core", lambda: core)
+    assert largest_reach(params, e0) == (256, n)
+    full = run_trajectory(params, e0, 120.0, 0.1)
     for name in ("pnt", "p_e", "p_r", "mean_n"):
         assert np.array_equal(getattr(cut, name), getattr(full, name))
 
@@ -795,18 +790,17 @@ def test_full_rabi_refuses_oversized_problems():
 @pytest.mark.parametrize("n_trunc", [2, 32, 64, 256])
 def test_dense_oracle_is_bit_identical_to_scipy_eigh(n_trunc):
     # dsyevr with the workspace scipy.linalg.eigh queries: every bit of the evolution agrees
-    # at one BLAS thread, as the CLI runs.  The reference's eigh runs in scipy's OpenBLAS,
-    # which conftest's OPENBLAS_NUM_THREADS=1 loads at one thread
+    # at one BLAS thread, as the CLI runs.  conftest's OPENBLAS_NUM_THREADS=1 loads both
+    # OpenBLAS, numpy's and the one of the reference's eigh in scipy, at one thread
     initial = random_full_state(np.random.default_rng(n_trunc), n_trunc)
     psi0 = np.empty(2 * n_trunc, dtype=complex)
     psi0[0::2], psi0[1::2] = initial.amp_g, initial.amp_e
     times = np.array([0.0, 1.3, 27.3, 250.0])
     for omega0, g in itertools.product([0.0, 0.04, 0.3], [0.05, 0.3, 2.0]):
         p = RabiParams(omega0=omega0, omega=0.23, g=g, n_trunc=n_trunc)
-        with blas.one_thread():
-            evals, evecs = scipy.linalg.eigh(full_rabi_matrix(p))
-            psi_t = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.T @ psi0)[:, None])
-            amp_e, amp_g = full_rabi_amplitudes(p, initial, times)
+        evals, evecs = scipy.linalg.eigh(full_rabi_matrix(p))
+        psi_t = evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.T @ psi0)[:, None])
+        amp_e, amp_g = full_rabi_amplitudes(p, initial, times)
         assert amp_e.tobytes() == psi_t[1::2].tobytes(), (omega0, g)
         assert amp_g.tobytes() == psi_t[0::2].tobytes(), (omega0, g)
 
@@ -830,26 +824,25 @@ def test_grid_oracle_matches_the_single_time_oracle(seed):
 def phase_product_cases(seeds):
     """Cases where a chain's evolved block is not ``v @ rhs`` bit for bit, ``rhs`` built as
     ``np.exp(-1j * np.outer(evals, t)) * c``; and how many of its chains had eigenvalues of both
-    signs.  Random chains and grids, t = 0 among the grid's times."""
+    signs.  Random chains and grids, t = 0 among the grid's times; at the caller's BLAS thread count."""
     differ, both_signs = [], 0
-    with blas.one_thread():
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(8, 300))
-            params = RabiParams(omega0=float(rng.uniform(-0.3, 0.3)), omega=float(rng.uniform(0.1, 0.5)),
-                                g=float(rng.uniform(0.1, 0.6)), n_trunc=n)
-            t = rng.uniform(0.0, 300.0, int(rng.integers(2, 600)))
-            t[rng.integers(t.shape[0])] = 0.0
-            for part in decompose(random_full_state(rng, n)):
-                h = build_chain(params, part.chain, part.amp)
-                evolve = _chain_evolution(h, h.coefficients)
-                closure = dict(zip(evolve.__code__.co_freevars,
-                                   (cell.cell_contents for cell in evolve.__closure__)))
-                rhs = np.zeros((closure["k"], t.shape[0]), dtype=complex)
-                rhs[closure["live"]] = np.exp(-1j * np.outer(closure["evals"], t)) * closure["c"]
-                both_signs += closure["evals"].min() < 0 < closure["evals"].max()
-                if evolve(t).tobytes() != (closure["v"] @ rhs).tobytes():
-                    differ.append([seed, part.chain.name])
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 300))
+        params = RabiParams(omega0=float(rng.uniform(-0.3, 0.3)), omega=float(rng.uniform(0.1, 0.5)),
+                            g=float(rng.uniform(0.1, 0.6)), n_trunc=n)
+        t = rng.uniform(0.0, 300.0, int(rng.integers(2, 600)))
+        t[rng.integers(t.shape[0])] = 0.0
+        for part in decompose(random_full_state(rng, n)):
+            h = build_chain(params, part.chain, part.amp)
+            evolve = _chain_evolution(h, h.coefficients)
+            closure = dict(zip(evolve.__code__.co_freevars,
+                               (cell.cell_contents for cell in evolve.__closure__)))
+            rhs = np.zeros((closure["k"], t.shape[0]), dtype=complex)
+            rhs[closure["live"]] = np.exp(-1j * np.outer(closure["evals"], t)) * closure["c"]
+            both_signs += closure["evals"].min() < 0 < closure["evals"].max()
+            if evolve(t).tobytes() != (closure["v"] @ rhs).tobytes():
+                differ.append([seed, part.chain.name])
     return differ, both_signs
 
 
