@@ -193,10 +193,10 @@ def _build_initial(section: dict[str, str], params: RabiParams) -> FullState:
         raise ConfigError(f"model.initial: {exc}") from None
 
 
-def _fields(cls, section: str, values: dict[str, str], **defaults) -> dict:
+def _fields(cls, section: str, values: dict[str, str]) -> dict:
     """The fields of dataclass ``cls`` set in ``[section]``, each parsed by its annotation (int
-    or float; another raises TypeError).  An unset field takes ``defaults``, then the class
-    default; one with neither is required, a ConfigError naming ``section.field``."""
+    or float; another raises TypeError).  An unset field takes the class default; one without
+    a default is required, a ConfigError naming ``section.field``."""
     out = {}
     for f in fields(cls):
         parse = {"int": _int, "float": _float}.get(f.type)
@@ -204,8 +204,6 @@ def _fields(cls, section: str, values: dict[str, str], **defaults) -> dict:
             raise TypeError(f"{cls.__name__}.{f.name}: no config parser for annotation {f.type!r}")
         if f.name in values:
             out[f.name] = parse(section, f.name, values[f.name])
-        elif f.name in defaults:
-            out[f.name] = defaults[f.name]
         elif f.default is MISSING:
             raise ConfigError(f"{section}.{f.name} is required")
     return out
@@ -230,7 +228,7 @@ def parse_config(text: str) -> RunConfig:
     if not parser.has_section("model"):
         raise ConfigError("missing required section [model]")
     model = dict(parser["model"])
-    values = _fields(RabiParams, "model", model, omega0=0.0)
+    values = _fields(RabiParams, "model", {"omega0": "0", **model})
     check_memory("model.n_trunc", n_trunc=values["n_trunc"])
     try:
         params = RabiParams(**values)

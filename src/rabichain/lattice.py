@@ -142,14 +142,14 @@ def spacing_for_coupling(cal: CouplingCalibration, kappa: float) -> float:
     return cal.d_ref - math.log(kappa / cal.kappa0) / cal.gamma
 
 
-def gradient_omega(oc: OpticalConstants, d_um, n_eff) -> float:
-    """Curvature-induced propagation-constant increment over one spacing.
+def gradient_omega(oc: OpticalConstants, d_um) -> float:
+    """Curvature-induced propagation-constant increment over one spacing at the base index.
 
-    omega = 2 pi n_eff d / (R lambda), with d in um, lambda in nm, R in mm,
-    returned in mm^-1.
+    omega = 2 pi n_eff_base d / (R lambda), with d in um, lambda in nm, R in
+    mm, returned in mm^-1.
     """
     d_mm = np.asarray(d_um) * 1e-3
-    return 2.0 * math.pi * n_eff * d_mm / (oc.radius_mm * oc.wavelength_mm)
+    return 2.0 * math.pi * oc.n_eff_base * d_mm / (oc.radius_mm * oc.wavelength_mm)
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def design(
 
     # cumulative index compensation pulling every bare increment to omega;
     # guide 0 anchored at the base index
-    omega_bare = gradient_omega(oc, spacings, oc.n_eff_base)
+    omega_bare = gradient_omega(oc, spacings)
     increments = (params.omega - omega_bare) * oc.wavelength_mm / (2.0 * math.pi)
     delta_comp = np.concatenate([[0.0], np.cumsum(increments)])
 
@@ -325,7 +325,7 @@ def verify_recipe(
     delta_det = target_det * oc.wavelength_mm / (2.0 * math.pi)
     delta_comp = recipe.delta_n_eff - delta_det
 
-    omega_bare = np.asarray(gradient_omega(oc, spacings, oc.n_eff_base), dtype=float)
+    omega_bare = np.asarray(gradient_omega(oc, spacings), dtype=float)
     achieved_omega = omega_bare + np.diff(delta_comp) * 2.0 * math.pi / oc.wavelength_mm
     omega_rel_dev = achieved_omega / params.omega - 1.0
 
@@ -351,10 +351,10 @@ def verify_recipe(
 # ---------------------------------------------------------------------------
 
 def format_recipe(recipe: LatticeRecipe) -> str:
-    """The recipe table: the guide index, then the columns with a NaN step quantity empty."""
+    """The recipe table: the guide index, then the columns, each NaN as an empty cell."""
     table = np.column_stack([getattr(recipe, name) for name in RECIPE_COLUMNS[1:]])
-    # + 0.0 folds IEEE -0.0 into +0.0
-    rows = format_rows(table + 0.0, blank=np.isnan(table)).decode("ascii").splitlines()
+    # + 0.0 folds IEEE -0.0 into +0.0; format_rows writes every NaN, of either sign, as nan
+    rows = format_rows(table + 0.0).replace(b"nan", b"").decode("ascii").splitlines()
     return "\t".join(RECIPE_COLUMNS) + "\n" + "".join(f"{n}\t{row}\n" for n, row in enumerate(rows))
 
 
@@ -372,8 +372,8 @@ def parse_recipe(text: str) -> LatticeRecipe:
     for i, row in enumerate(rows):
         if len(row) != len(RECIPE_COLUMNS):
             raise ValueError(f"recipe row {i} has {len(row)} fields, expected {len(RECIPE_COLUMNS)}")
-        if int(row[0]) != i:
-            raise ValueError(f"recipe rows out of order at row {i}")
+        if not (row[0].isascii() and row[0].isdigit() and int(row[0]) == i):
+            raise ValueError(f"recipe row {i}: guide is {row[0]!r}, expected {i}")
         for f, value in zip(fields(LatticeRecipe), row[1:]):
             if value:
                 cols[f.name][i] = number = float(value)

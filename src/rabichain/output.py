@@ -26,9 +26,9 @@ the table's range, and overflows at e = -298), or not finite goes through
 ``%`` instead, which rounds exact ties half to even.  Both zeros are encoded.
 Each value gets a fixed 20-byte cell, and a byte that not every value has
 is a NUL byte in the tables: the sign of a value without its sign bit,
-the hundreds digit of an exponent below 100, the padding of a ``%``
-fallback and a blank cell's text.  One ``bytes.translate`` pass over the
-cells removes every NUL, which leaves each field at its own length.
+the hundreds digit of an exponent below 100 and the padding of a ``%``
+fallback.  One ``bytes.translate`` pass over the cells removes every NUL,
+which leaves each field at its own length.
 """
 
 from __future__ import annotations
@@ -75,12 +75,8 @@ _EXP = _words(np.where(_I[:2000] % 1000 < 100, 0, _D + _I[:2000] % 1000 // 100),
               np.where(_I[:2000] < 1000, ord("\t"), ord("\n")))                   # at row end
 
 
-def format_rows(table: np.ndarray, blank: np.ndarray | None = None) -> bytes:
-    """Each row of a 2-D float array as ``%.11e`` fields joined by tabs, ending in ``\\n``, as ASCII.
-
-    Cells where ``blank`` (a bool array of the table's shape) is True are
-    written as empty fields.
-    """
+def format_rows(table: np.ndarray) -> bytes:
+    """Each row of a 2-D float array as ``%.11e`` fields joined by tabs, ending in ``\\n``, as ASCII."""
     rows, width = table.shape
     if width == 0:
         return b"\n" * rows
@@ -113,8 +109,6 @@ def format_rows(table: np.ndarray, blank: np.ndarray | None = None) -> bytes:
     if slow.size:                                # at most 19 characters each, NUL-padded
         fallback = "".join([("%.11e" % v).ljust(_CELL - 1, "\0") for v in x[slow].tolist()])
         text[slow, :-1] = np.frombuffer(fallback.encode("ascii"), dtype=np.uint8).reshape(-1, _CELL - 1)
-    if blank is not None:
-        text[blank.ravel(), :-1] = 0
     return cells.tobytes().translate(None, b"\0")
 
 
@@ -239,9 +233,10 @@ def new_files() -> Iterator[Callable[[Path], IO[bytes]]]:
     When the block ends, every temporary is closed, and only then is each
     renamed onto its path, the last created first.  On any exception before
     the renames, a failed write or close among them, every temporary is
-    removed and no path changes: no file is ever cut off, and the files of a
-    block appear together or not at all.  A failed rename can still leave
-    the files renamed before it.  A file holds the bytes written to it, so
+    removed and no file path changes: no file is ever cut off, and the files
+    of a block appear together or not at all.  A directory that ``create``
+    made for a path stays, empty.  A failed rename can still leave the files
+    renamed before it.  A file holds the bytes written to it, so
     the tables' ``\\n`` line ends on every platform.  A temporary is
     ``.{name}.<pid>.tmp``, the pid in decimal, created by a plain ``open``,
     so it gets the mode that gives, and its writer holds an exclusive
@@ -287,13 +282,13 @@ def new_files() -> Iterator[Callable[[Path], IO[bytes]]]:
                     stale.unlink()
 
 
-def write_text(path: Path, text: bytes | Iterable[bytes]) -> None:
-    """Write ASCII text, or an iterable of its blocks one after another, through ``new_files``.
+def write_text(path: Path, blocks: Iterable[bytes]) -> None:
+    """Write the blocks of ASCII text one after another, through ``new_files``.
 
     A formatter's iterator is consumed as the file is written, one block at a time.
     """
     with new_files() as create:
-        create(path).writelines([text] if isinstance(text, bytes) else text)
+        create(path).writelines(blocks)
 
 
 def write_bytes(path: Path, blob: bytes) -> None:

@@ -1,6 +1,7 @@
 """Calibration inversion, gradient formula, and the full design procedure."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -93,14 +94,25 @@ def test_bad_calibrations_rejected():
 
 def test_gradient_reproduces_device_frequency():
     # unit-conversion audit: mid-array spacing at the base index
-    assert gradient_omega(OC, 10.39, 1.45) == pytest.approx(0.230, abs=1e-3)
+    assert gradient_omega(OC, 10.39) == pytest.approx(0.230, abs=1e-3)
 
 
 def test_gradient_linearities():
-    w = gradient_omega(OC, 10.0, 1.45)
-    assert gradient_omega(OC, 20.0, 1.45) == pytest.approx(2 * w, rel=1e-12)
+    w = gradient_omega(OC, 10.0)
+    assert gradient_omega(OC, 20.0) == pytest.approx(2 * w, rel=1e-12)
     oc2 = OpticalConstants(radius_mm=2 * OC.radius_mm)
-    assert gradient_omega(oc2, 10.0, 1.45) == pytest.approx(w / 2, rel=1e-12)
+    assert gradient_omega(oc2, 10.0) == pytest.approx(w / 2, rel=1e-12)
+
+
+def test_gradient_follows_the_base_index():
+    w = gradient_omega(OC, 10.0)
+    assert gradient_omega(OpticalConstants(n_eff_base=2.9), 10.0) == pytest.approx(2 * w, rel=1e-12)
+    # twice the index on twice the radius: the default gradient, so the default writing speeds
+    oc2 = OpticalConstants(n_eff_base=2.9, radius_mm=2 * OC.radius_mm)
+    recipe = design(DSC, CAL, oc2, 15)
+    assert np.allclose(recipe.writing_speed_mm_s, design(DSC, CAL, OC, 15).writing_speed_mm_s,
+                       rtol=1e-12, atol=0)
+    assert verify_recipe(recipe, DSC, CAL, oc2).max_rel_deviation < 1e-6
 
 
 def test_optical_constants_sanity_checks():
@@ -233,6 +245,7 @@ def test_format_recipe_matches_a_per_value_rendering():
     recipe = design(DSC, CAL, OC, 15)
     columns = {f.name: np.array(getattr(recipe, f.name)) for f in fields(LatticeRecipe)}
     columns["position_um"][4] = np.nan      # an empty cell outside the last row
+    columns["writing_speed_mm_s"][9] = -np.nan   # its sign bit set, and empty all the same
     columns["delta_n_eff"][0] = -0.0        # written as +0.0
     columns["writing_speed_mm_s"][2] = 1e-300   # a 3-digit exponent
     recipe = LatticeRecipe(**columns)
@@ -259,6 +272,14 @@ def test_recipe_columns_are_the_fields_and_n_guides_is_their_length():
 def test_parse_recipe_rejects_garbage():
     with pytest.raises(ValueError, match="header"):
         parse_recipe("hello\n1\t2\n")
+
+
+@pytest.mark.parametrize("guide", ["x", "", "+3", " 3", "٣", "4"])
+def test_parse_recipe_names_the_row_of_a_guide_field_not_its_index_in_decimal_digits(guide):
+    rows = format_recipe(design(DSC, CAL, OC, 15)).splitlines(keepends=True)
+    rows[4] = guide + rows[4][1:]
+    with pytest.raises(ValueError, match=re.escape(f"recipe row 3: guide is {guide!r}, expected 3")):
+        parse_recipe("".join(rows))
 
 
 @pytest.mark.parametrize("guides", [0, 1])

@@ -226,14 +226,6 @@ def test_signed_zeros_and_the_rounding_family_encode_like_percent():
     assert text.startswith(b"0.00000000000e+00\t-0.00000000000e+00\t")
 
 
-def test_blank_cells_keep_only_their_separator():
-    table = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    blank = np.array([[False, True, False], [False, False, True]])
-    assert format_rows(table, blank) == (
-        b"1.00000000000e+00\t\t3.00000000000e+00\n4.00000000000e+00\t5.00000000000e+00\t\n"
-    )
-
-
 def test_encoding_a_text_block_peaks_below_the_memory_estimate():
     # one block of 2^16 values, 256 rows of 256 columns over 300 decades: config.check_memory
     # charges FORMAT_BLOCK_BYTES for it, so the estimate stays an upper bound
@@ -294,7 +286,7 @@ def test_the_sweep_removes_only_temporaries_named_with_a_decimal_pid(tmp_path):
     for path in kept:
         path.write_bytes(b"the user's\n")
     (tmp_path / ".timeseries.tsv.4194305.tmp").write_bytes(b"a killed run's\n")
-    write_text(tmp_path / "timeseries.tsv", b"x\n")
+    write_text(tmp_path / "timeseries.tsv", [b"x\n"])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([p.name for p in kept] + ["timeseries.tsv"])
     assert [p.read_bytes() for p in kept] == [b"the user's\n"] * 3
 
