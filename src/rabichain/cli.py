@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("simulate", "sweep", "design"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to run configuration")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
+        p.add_argument("--out", default="out", help="output directory")
         if name == "simulate":
             p.add_argument("--image", action="store_true", help="also emit a grayscale PGM map")
         if name == "sweep":
@@ -292,8 +292,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "validate":
                 return cmd_validate()
 
+            if not args.out:   # Path("") is the current directory
+                raise ConfigError("--out: the output directory is empty")
             cfg = load_config(args.config)
-            out_dir = Path(args.out) if args.out is not None else cfg.output_dir
+            out_dir = Path(args.out)
             if args.command == "simulate":
                 return cmd_simulate(cfg, out_dir, args.image)
             if args.command == "sweep":

@@ -30,7 +30,7 @@ OUTPUT_KINDS = ("timeseries", "intensity_map")
 _SECTIONS = {
     "model": {f.name for f in fields(RabiParams)} | {"initial", "initial_e", "initial_g"},
     "grid": {"t_max", "dt"},
-    "output": {"outputs", "dir"},
+    "output": {"outputs"},
     "design": {"n_guides"} | {
         f.name for cls in (CouplingCalibration, OpticalConstants) for f in fields(cls)
     },
@@ -136,7 +136,6 @@ class RunConfig:
     t_max: float | None           # None: not set, which only simulate refuses
     dt: float | None              # None: command-specific default applies
     outputs: frozenset[str]
-    output_dir: Path
     design: DesignConfig | None
 
 
@@ -253,7 +252,6 @@ def parse_config(text: str) -> RunConfig:
                 f"output.outputs: unknown kind {kind!r}, expected one of {OUTPUT_KINDS}"
             )
     outputs = frozenset(kinds)
-    output_dir = Path(out.get("dir", "out"))
 
     design = None
     if parser.has_section("design"):
@@ -277,7 +275,6 @@ def parse_config(text: str) -> RunConfig:
         t_max=steps.get("t_max"),
         dt=steps.get("dt"),
         outputs=outputs,
-        output_dir=output_dir,
         design=design,
     )
 

@@ -373,8 +373,8 @@ class Trajectory:
 
 def grid_points(t_max: float, dt: float) -> float:
     """Number of points of the grid {0, dt, 2 dt, ..., t_max}; inf if t_max / dt overflows."""
-    steps = t_max / dt
-    return math.floor(steps + 1e-9) + 1 if math.isfinite(steps) else math.inf
+    steps = t_max / dt   # 4 ulps: past about 4M steps it can land more than 1e-9 below a whole count
+    return math.floor(steps + 1e-9 + 4 * math.ulp(steps)) + 1 if math.isfinite(steps) else math.inf
 
 
 def observables(amp_e: np.ndarray, amp_g: np.ndarray, initial: FullState):

@@ -79,17 +79,6 @@ class CouplingCalibration:
         """Coupling at spacing d (um) -> mm^-1."""
         return self.kappa0 * np.exp(-self.gamma * (np.asarray(d_um) - self.d_ref))
 
-    # an extreme window end is inf or 0.0, with no overflow warning
-    @property
-    def kappa_min(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(self.kappa(self.d_max))
-
-    @property
-    def kappa_max(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(self.kappa(self.d_min))
-
 
 @dataclass(frozen=True)
 class OpticalConstants:
@@ -128,18 +117,15 @@ class OpticalConstants:
 
 
 def spacing_for_coupling(cal: CouplingCalibration, kappa: float) -> float:
-    """Invert the calibration: spacing (um) that realizes a coupling (mm^-1)."""
-    if kappa < cal.kappa_min or kappa <= 0:   # no finite spacing gives a zero coupling
+    """Invert the calibration: the spacing (um) in [d_min, d_max] that realizes a coupling (mm^-1)."""
+    if not kappa / cal.kappa0 > 0:   # no finite spacing gives a zero coupling
         raise CouplingRangeError(
-            f"kappa = {kappa!r} mm^-1 below weakest achievable "
-            f"{cal.kappa_min!r} mm^-1 (at d_max = {cal.d_max} um)"
-        )
-    if kappa > cal.kappa_max:
-        raise CouplingRangeError(
-            f"kappa = {kappa!r} mm^-1 above strongest achievable "
-            f"{cal.kappa_max!r} mm^-1 (at d_min = {cal.d_min} um)"
-        )
-    return cal.d_ref - math.log(kappa / cal.kappa0) / cal.gamma
+            f"kappa = {kappa!r} mm^-1 has no spacing: kappa / kappa0 = {kappa / cal.kappa0!r} is not > 0")
+    d = cal.d_ref - math.log(kappa / cal.kappa0) / cal.gamma
+    if not cal.d_min <= d <= cal.d_max:
+        side, bound = ("below d_min", cal.d_min) if d < cal.d_min else ("above d_max", cal.d_max)
+        raise CouplingRangeError(f"kappa = {kappa!r} mm^-1 needs spacing {d!r} um, {side} = {bound} um")
+    return d
 
 
 def gradient_omega(oc: OpticalConstants, d_um) -> float:
@@ -202,8 +188,8 @@ def design(
 ) -> LatticeRecipe:
     """Full design: spacings, index compensation, detuning, writing speeds.
 
-    Raises :class:`CouplingRangeError` if any target coupling is outside the
-    calibration window (naming the first infeasible guide) and
+    Raises :class:`CouplingRangeError` if any target coupling needs a spacing
+    outside [d_min, d_max] (naming the first infeasible guide) and
     :class:`FabricationError` if a writing speed leaves [v_min, v_max].
     """
     if n_guides < 2:

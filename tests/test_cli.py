@@ -572,17 +572,6 @@ def test_import_rabichain_loads_no_numpy():
     assert loaded == [False, "0.1.0"]
 
 
-def test_package_names_load_their_module_on_first_use():
-    import rabichain
-
-    assert (rabichain.RabiParams, rabichain.FullState) == (RabiParams, FullState)
-    assert (rabichain.lf_period, rabichain.lf_revival) == (analytic.lf_period, analytic.lf_revival)
-    assert rabichain.run_trajectory is dynamics.run_trajectory
-    assert set(rabichain.__all__) <= set(dir(rabichain))
-    with pytest.raises(AttributeError, match="no attribute 'observables'"):
-        rabichain.observables
-
-
 # Imports the CLI first, as `python -m rabichain.cli` and the console script do; then
 # runs the command and counts this process's threads.  A joined Python thread may take
 # a moment to leave /proc; an OpenBLAS worker never does.
@@ -863,7 +852,7 @@ v_max = 100
 
 
 def test_design_missing_its_targets_exits_2_and_writes_nothing(tmp_path, capsys):
-    # the kappa window runs from 0.0 to inf, so every guide sits at d_ref
+    # at gamma = 1e308 every coupling needs the spacing d_ref, so every guide sits there
     cfg = tmp_path / "wide.cfg"
     cfg.write_text(SMALL_DESIGN + "gamma = 1e308\n")
     rc = main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -871,6 +860,21 @@ def test_design_missing_its_targets_exits_2_and_writes_nothing(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "max relative deviation 6.464466e-01" in err
     assert f"bound {cli.RECIPE_DEVIATION_TOL:.0e}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_design_whose_coupling_ratio_underflows_exits_2_in_one_line(tmp_path):
+    # g / kappa0 rounds to 0.0, which has no log, in a window that reaches out to 1e308 um
+    cfg = tmp_path / "faint.cfg"
+    cfg.write_text(SMALL_DESIGN.replace("g = 0.3", "g = 5e-324") + "kappa0 = 2\nd_max = 1e308\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rabichain.cli", "design",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numeric/feasibility error: coupling for guides 0-1")
     assert not (tmp_path / "out").exists()
 
 
@@ -1260,6 +1264,16 @@ def test_default_section_is_an_unknown_section(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
                  "--omega0-list=0"]) == 1
     assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--omega0-list=0"], ["design"]])
+def test_an_empty_out_exits_1_and_writes_nothing(config_path, tmp_path, capsys, monkeypatch,
+                                                  command):
+    monkeypatch.chdir(tmp_path)   # Path("") is the current directory
+    rc = main([*command, "--config", str(config_path), "--out", ""])
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: --out: the output directory is empty\n"
+    assert list(tmp_path.iterdir()) == [config_path]
 
 
 def test_missing_config_exits_1(tmp_path):

@@ -124,9 +124,10 @@ def test_label_and_lists_are_exclusive():
 
 
 def test_outputs_whitelist():
-    ok = parse_config(MINIMAL + "\n[output]\noutputs = timeseries\ndir = x\n")
+    ok = parse_config(MINIMAL + "\n[output]\noutputs = timeseries\n")
     assert ok.outputs == {"timeseries"}
-    assert str(ok.output_dir) == "x"
+    with pytest.raises(ConfigError, match="unknown key 'dir' in \\[output\\]"):   # --out sets it
+        parse_config(MINIMAL + "\n[output]\noutputs = timeseries\ndir = x\n")
     for kind in ("plots", "recipe"):   # design writes its recipe whatever outputs says
         with pytest.raises(ConfigError, match=f"unknown kind '{kind}'"):
             parse_config(MINIMAL + f"\n[output]\noutputs = timeseries, {kind}\n")

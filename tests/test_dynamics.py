@@ -26,8 +26,10 @@ from rabichain.dynamics import (
     full_rabi_amplitudes,
     full_rabi_matrix,
     full_rabi_reference,
+    grid_points,
     observables,
     run_trajectory,
+    time_grid,
 )
 from rabichain.model import (
     ChainState,
@@ -336,6 +338,32 @@ def test_propagate_rejects_mismatches():
         chain_reference_state(DSC, FullState.basis_state("e", 0, 32), 1.0)
     with pytest.raises(ValueError):
         chain_reference_state(DSC, FullState.basis_state("e", 0, 64), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# time grid
+# ---------------------------------------------------------------------------
+
+def test_time_grid_runs_from_zero_to_t_max():
+    assert grid_points(60.0, 0.1) == 601
+    assert np.array_equal(time_grid(0.3, 0.1), np.arange(4) * 0.1)
+    assert grid_points(0.35, 0.1) == 4   # a partial last step is dropped
+    assert grid_points(1e308, 1e-10) == np.inf
+
+
+@pytest.mark.parametrize("t_max, dt, match", [
+    (1.0, 0.0, "dt must be > 0"), (1.0, -0.1, "dt must be > 0"),
+    (0.05, 0.1, "t_max must be >= dt"),
+])
+def test_time_grid_refuses_a_step_it_cannot_take(t_max, dt, match):
+    with pytest.raises(ValueError, match=match):
+        time_grid(t_max, dt)
+
+
+def test_a_large_grid_reaches_t_max():
+    # 3333333.3 / 0.1 lands one ulp (3.7e-9) below 33333333, past the 1e-9 allowance
+    assert 3333333.3 / 0.1 < 33333333
+    assert grid_points(3333333.3, 0.1) == 33333334
 
 
 # ---------------------------------------------------------------------------
