@@ -29,7 +29,7 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402  (loads numpy's OpenBLAS)
 
 from .blas import one_thread
-from .config import ConfigError, RunConfig, check_memory, load_config
+from .config import ConfigError, RunConfig, check_memory, list_fields, load_config, parse_number
 from .dynamics import (
     TRUNCATION_OCCUPANCY,
     EigendecompositionError,
@@ -173,17 +173,19 @@ def _sweep_point(params: RabiParams, omega0: float, t_grid: np.ndarray):
     return (omega0, float(min_p_r), float(min_population), float(max_mean_n)), top
 
 
-def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int) -> int:
+def cmd_sweep(cfg: RunConfig, omega0_list: str, out_dir: Path, jobs: int) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {jobs}")
-    if not omega0_list:
+    fields = list_fields("--omega0-list", omega0_list)
+    if not fields:
         raise ConfigError("sweep needs a non-empty --omega0-list")
-    models = []
-    for v in omega0_list:   # every value is checked before any point runs
+    signed, models = [], []
+    for field in fields:   # every value is checked before any point runs
+        signed.append(parse_number(float, "--omega0-list", field))
         try:
-            models.append(replace(cfg.params, omega0=abs(v)))
+            models.append(replace(cfg.params, omega0=abs(signed[-1])))
         except ValueError as exc:
-            raise ConfigError(f"--omega0-list: value {v!r}: {exc}") from None
+            raise ConfigError(f"--omega0-list: value {signed[-1]!r}: {exc}") from None
     dt = cfg.dt if cfg.dt is not None else SWEEP_DEFAULT_DT
     t_bounce = 2.0 * math.pi / cfg.params.omega
     runs = min(jobs, len(models))
@@ -195,7 +197,7 @@ def cmd_sweep(cfg: RunConfig, omega0_list: list[float], out_dir: Path, jobs: int
     )
     t_grid = time_grid(t_bounce, dt)
     with ThreadPoolExecutor(max_workers=runs) as pool:
-        points = list(pool.map(lambda p, v: _sweep_point(p, v, t_grid), models, omega0_list))
+        points = list(pool.map(lambda p, v: _sweep_point(p, v, t_grid), models, signed))
     write_text(out_dir / "sweep.tsv", sweep_summary_text([row for row, _ in points]))
     for (omega0, *_), top in points:
         if top > TRUNCATION_OCCUPANCY:
@@ -299,18 +301,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "simulate":
                 return cmd_simulate(cfg, out_dir, args.image)
             if args.command == "sweep":
-                fields = args.omega0_list.split(",") if args.omega0_list.strip() else []
-                for i, field in enumerate(fields):
-                    if not field.strip():   # dropping it would quietly run one point fewer
-                        raise ConfigError(f"--omega0-list: field {i + 1} is empty")
-                try:
-                    omega0_list = [float(s) for s in fields]
-                except ValueError:
-                    raise ConfigError(f"bad --omega0-list: {args.omega0_list!r}") from None
-                return cmd_sweep(cfg, omega0_list, out_dir, args.jobs)
-            if args.command == "design":
-                return cmd_design(cfg, out_dir)
-            raise AssertionError(f"unhandled command {args.command}")
+                return cmd_sweep(cfg, args.omega0_list, out_dir, args.jobs)
+            return cmd_design(cfg, out_dir)   # the parser admits no other command
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE

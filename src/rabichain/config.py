@@ -139,35 +139,46 @@ class RunConfig:
     design: DesignConfig | None
 
 
-def _float(section: str, key: str, raw: str) -> float:
+def parse_number(kind: type, key: str, raw: str):
+    """``kind(raw)``, for ``kind`` int, float or complex, or a ConfigError naming ``key``.  A
+    number is ASCII: Python's parsers read any Unicode digit, Arabic-Indic 16 as 16 too."""
     try:
-        value = float(raw)
+        if raw.isascii():
+            return kind(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
+        pass
+    what = {int: "not an integer", float: "not a number", complex: "bad complex number"}[kind]
+    raise ConfigError(f"{key}: {what}: {raw!r}")
+
+
+def _float(section: str, key: str, raw: str) -> float:
+    value = parse_number(float, f"{section}.{key}", raw)
     if not math.isfinite(value):
         raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
     return value
 
 
 def _int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from None
+    return parse_number(int, f"{section}.{key}", raw)
+
+
+def list_fields(key: str, raw: str) -> list[str]:
+    """The stripped fields of the comma list ``raw``, none for a blank one.  An empty field
+    would shift those after it if dropped: it is a ConfigError naming ``key`` and its position."""
+    items = [s.strip() for s in raw.split(",")] if raw.strip() else []
+    for i, item in enumerate(items):
+        if not item:
+            raise ConfigError(f"{key}: field {i + 1} is empty")
+    return items
 
 
 def _amplitudes(key: str, raw: str, n_trunc: int) -> np.ndarray:
     out = np.zeros(n_trunc, dtype=complex)
-    items = [s.strip() for s in raw.split(",")] if raw.strip() else []   # empty: all zeros
+    items = list_fields(f"model.{key}", raw)   # blank: all zeros
     if len(items) > n_trunc:
         raise ConfigError(f"model.{key}: {len(items)} amplitudes exceed n_trunc = {n_trunc}")
     for i, item in enumerate(items):
-        if not item:   # dropping it would move every later amplitude down one Fock state
-            raise ConfigError(f"model.{key}: field {i + 1} is empty; write 0 for a zero amplitude")
-        try:
-            out[i] = complex(item)
-        except ValueError:
-            raise ConfigError(f"model.{key}: bad complex number: {item!r}") from None
+        out[i] = parse_number(complex, f"model.{key}", item)
     return out
 
 
@@ -208,6 +219,18 @@ def _fields(cls, section: str, values: dict[str, str]) -> dict:
     return out
 
 
+def _syntax_error(exc: configparser.Error) -> str:
+    """What ``ConfigParser.read_string`` refused, in one line that names its line number."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: no [section] header before {exc.line.strip()!r}"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: key {exc.option!r} is set twice in [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] appears twice"
+    lineno = exc.errors[0][0]   # a ParsingError: its first line that is neither of the two
+    return f"line {lineno}: neither a [section] header nor key = value"
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration; raises ConfigError."""
     # no header can name a section "\n", so [DEFAULT] is an ordinary, unknown section
@@ -215,7 +238,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"syntax error: {exc}") from None
+        raise ConfigError(f"syntax error: {_syntax_error(exc)}") from None
 
     for name in parser.sections():
         if name not in _SECTIONS:
@@ -245,7 +268,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"grid.{key}: must be > 0, got {value}")
 
     out = dict(parser["output"]) if parser.has_section("output") else {}
-    kinds = [s.strip() for s in out.get("outputs", ",".join(OUTPUT_KINDS)).split(",") if s.strip()]
+    kinds = list_fields("output.outputs", out.get("outputs", ",".join(OUTPUT_KINDS)))
     for kind in kinds:
         if kind not in OUTPUT_KINDS:
             raise ConfigError(
@@ -281,7 +304,7 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")   # a BOM is not a syntax error
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(text)

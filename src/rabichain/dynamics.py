@@ -501,4 +501,4 @@ def full_rabi_amplitudes(params: RabiParams, initial: FullState, t_grid: np.ndar
 def full_rabi_reference(params: RabiParams, initial: FullState, t: float) -> FullState:
     """The oracle's state at time t: :func:`full_rabi_amplitudes` on the one-point grid {t}."""
     amp_e, amp_g = full_rabi_amplitudes(params, initial, np.array([t]))
-    return FullState(amp_e[:, 0], amp_g[:, 0], norm_tol=1e-9)
+    return FullState(amp_e[:, 0], amp_g[:, 0], norm_tol=RECOMPOSE_WEIGHT_TOL)

@@ -46,7 +46,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .dynamics import Trajectory
 
-_BLOCK_VALUES = 1 << 16   # values encoded at a time in _table_text
+_BLOCK_VALUES = 1 << 16   # values encoded at a time in _rows_text
 _ZERO = b"0.00000000000e+00"   # the text of +0.0, written literally past the given columns
 
 # A value's cell is 20 bytes, five native-order uint32 words:
@@ -77,9 +77,7 @@ _EXP = _words(np.where(_I[:2000] % 1000 < 100, 0, _D + _I[:2000] % 1000 // 100),
 
 def format_rows(table: np.ndarray) -> bytes:
     """Each row of a 2-D float array as ``%.11e`` fields joined by tabs, ending in ``\\n``, as ASCII."""
-    rows, width = table.shape
-    if width == 0:
-        return b"\n" * rows
+    width = table.shape[1]
     x = table.ravel()
     a = np.abs(x)
     with np.errstate(divide="ignore"):
@@ -134,12 +132,6 @@ def _rows_text(width: int, *columns: np.ndarray) -> Iterator[bytes]:
             text = text.replace(b"\n", (b"\t" + _ZERO) * (width - chunk.shape[1]) + b"\n")
         yield text
         del text   # on resuming, before the next block is encoded
-
-
-def _table_text(header: str, *columns: np.ndarray) -> Iterator[bytes]:
-    """The header line, then the rows of ``columns`` (``_rows_text``), yielded as text blocks."""
-    yield header.encode("ascii") + b"\n"
-    yield from _rows_text(sum(1 if c.ndim == 1 else c.shape[1] for c in columns), *columns)
 
 
 TIMESERIES_HEADER = b"t_mm\tP_e\tP_g\tP_r\tmean_n\n"
@@ -209,8 +201,8 @@ def intensity_map_pgm(pop: np.ndarray, n_trunc: int) -> bytearray:
 
 
 def sweep_summary_text(rows: list[tuple[float, float, float, float]]) -> Iterator[bytes]:
-    table = np.array(rows, dtype=float).reshape(len(rows), 4)
-    return _table_text("omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n", table)
+    yield b"omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n\n"
+    yield from _rows_text(4, np.array(rows, dtype=float).reshape(len(rows), 4))
 
 
 def _locked(tmp: Path) -> IO[bytes]:

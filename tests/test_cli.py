@@ -1073,6 +1073,18 @@ def test_design_needs_no_grid_section(tmp_path):
         ("omega = 0.23", "omega = 1e-320", "model.g/omega"),
         ("n_trunc = 64", "n_trunc = 1000000000000", "model.n_trunc"),
         ("n_guides = 15", "n_guides = 1000000000000", "design.n_guides"),
+        ("omega = 0.23\ng = 0.15\nn_trunc = 64", "omega = 1e306\ng = 0.15\nn_trunc = 1000",
+         "model.n_trunc"),
+        ("n_trunc = 64\ninitial = e0", "n_trunc = 4\ninitial_e = 1,0,0,0,0", "model.initial_e"),
+        ("initial = e0", "initial_e = 1,x", "model.initial_e"),
+        ("n_guides = 15", "n_guides = 15\ngamma = 0", "design"),
+        ("n_guides = 15", "n_guides = 15\nv_min = 20", "design"),
+        # a number is ASCII: Python's int, float and complex read any Unicode digit
+        ("n_trunc = 64", "n_trunc = \u0661\u0666", "model.n_trunc"),
+        ("omega = 0.23", "omega = \u0660.\u0662\u0663", "model.omega"),
+        ("t_max = 60", "t_max = \u0666\u0660", "grid.t_max"),
+        ("initial = e0", "initial_e = \u0661", "model.initial_e"),
+        ("n_guides = 15", "n_guides = \u0661\u0665", "design.n_guides"),
     ],
 )
 def test_overflowing_model_value_exits_1_naming_the_key(
@@ -1112,6 +1124,60 @@ def test_sweep_refuses_an_empty_omega0_field(config_path, tmp_path, capsys, monk
     assert rc == 1
     assert capsys.readouterr().err == f"config error: --omega0-list: field {field} is empty\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, bad, extra, message", [
+    ("n_guides = 15", "n_guides = 15\n[output]\noutputs = timeseries,", "--omega0-list=0",
+     "output.outputs: field 2 is empty"),
+    ("initial = e0", "initial_e = 0,,1", "--omega0-list=0", "model.initial_e: field 2 is empty"),
+    ("", "", "--omega0-list=0.1,,0.2", "--omega0-list: field 2 is empty"),
+], ids=["outputs", "initial_e", "omega0-list"])
+def test_an_empty_field_of_any_list_exits_1_naming_its_key_and_position(
+    tmp_path, capsys, monkeypatch, line, bad, extra, message
+):
+    # one rule for the three comma lists: an empty field is refused, never dropped
+    refuse_to_run(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DSC_CONFIG.replace(line, bad))
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), extra])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, line, bad, extra, message", [
+    # a number is ASCII: Python's float reads any Unicode digit
+    ("sweep", "", "", ["--omega0-list=\u0660.\u0661"], "--omega0-list: not a number: '\u0660.\u0661'"),
+    ("sweep", "", "", ["--omega0-list=0.1,x"], "--omega0-list: not a number: 'x'"),
+    ("simulate", DSC_CONFIG, "[grid]\nt_max = 60\n", [], "missing required section [model]"),
+    ("design", "n_guides = 15", "kappa0 = 0.15", [],
+     "design.n_guides is required when [design] is present"),
+], ids=["arabic-omega0", "omega0-x", "no-model", "no-n_guides"])
+def test_a_bad_omega0_or_a_missing_section_or_key_exits_1_in_one_line(
+    tmp_path, capsys, monkeypatch, command, line, bad, extra, message
+):
+    refuse_to_run(monkeypatch)
+    monkeypatch.setattr(cli, "design", _refuse_to_run)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(DSC_CONFIG.replace(line, bad))
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "run.cfg", "--jobs", "two", "--omega0-list=0"],
+    ["frobnicate"],
+    ["simulate"],   # no --config
+], ids=["bad-jobs", "unknown-command", "no-config"])
+def test_a_usage_error_exits_1_with_a_usage_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1   # argparse's own default is 2, the numeric/feasibility code here
+    err = capsys.readouterr().err
+    assert any(line.startswith("usage: rabichain") for line in err.splitlines()), err
+    assert "Traceback" not in err
 
 
 def test_working_set_beyond_memory_exits_1_although_the_map_fits(

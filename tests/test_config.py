@@ -64,6 +64,27 @@ def test_syntax_error_reported_with_line():
         parse_config("[model\nomega = 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("omega = 0.23\n" + MINIMAL, "line 1: no [section] header before 'omega = 0.23'"),
+    ("[model\nomega = 1\n", "line 1: no [section] header before '[model'"),
+    (MINIMAL.replace("g = 0.15", "g = 0.15\ng = 0.2"), "line 6: key 'g' is set twice in [model]"),
+    (MINIMAL + "[grid]\n", "line 12: section [grid] appears twice"),
+    (MINIMAL.replace("g = 0.15", "g = 0.15\n= 0.2"), "line 6: neither a [section] header nor key = value"),
+], ids=["key-before-header", "unclosed-header", "key-twice", "section-twice", "no-key"])
+def test_a_syntax_error_is_one_line_naming_its_line_not_the_parsers_source(tmp_path, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"syntax error: {message}"
+
+
+def test_a_config_file_saved_with_a_byte_order_mark_reads_as_without(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.lstrip().encode("ascii"))
+    assert load_config(path).params == parse_config(MINIMAL).params
+
+
 def test_bad_number_names_key():
     with pytest.raises(ConfigError, match="model.g"):
         parse_config(MINIMAL.replace("g = 0.15", "g = fifteen"))

@@ -281,6 +281,20 @@ def test_parse_recipe_names_the_row_of_a_guide_field_not_its_index_in_decimal_di
         parse_recipe("".join(rows))
 
 
+@pytest.mark.parametrize("count", [7, 9])
+def test_parse_recipe_refuses_a_row_with_the_wrong_number_of_fields(count):
+    rows = [row.split("\t") for row in format_recipe(design(DSC, CAL, OC, 15)).splitlines()]
+    rows[4] = (rows[4] + ["1.0"])[:count]   # one field fewer than the 8 columns, or one more
+    text = "".join("\t".join(row) + "\n" for row in rows)
+    with pytest.raises(ValueError, match=re.escape(f"recipe row 3 has {count} fields, expected 8")):
+        parse_recipe(text)
+
+
+def test_design_refuses_fewer_than_two_guides():
+    with pytest.raises(ValueError, match="need at least 2 guides, got 1"):
+        design(DSC, CAL, OC, 1)
+
+
 @pytest.mark.parametrize("guides", [0, 1])
 def test_parse_recipe_refuses_fewer_than_two_guides(guides):
     text = format_recipe(design(DSC, CAL, OC, 2))

@@ -114,6 +114,11 @@ def test_full_state_rejects_length_mismatch():
         FullState(np.zeros(8), np.zeros(7))
 
 
+def test_full_state_rejects_an_amplitude_array_that_is_not_1d():
+    with pytest.raises(ValueError, match=r"amp_e must be a 1-d amplitude vector, got shape \(2, 4\)"):
+        FullState(np.zeros((2, 4)), np.zeros(8))
+
+
 def test_full_state_arrays_are_readonly():
     s = FullState.basis_state("e", 0, 4)
     with pytest.raises(ValueError):

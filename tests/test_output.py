@@ -19,7 +19,6 @@ from rabichain.model import FullState, RabiParams
 from rabichain.output import (
     _BLOCK_VALUES,
     _rows_text,
-    _table_text,
     format_rows,
     intensity_map_pgm,
     intensity_map_text,
@@ -40,9 +39,14 @@ def per_value_text(header, rows):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def rows_text(table):
+    """The rows of a 2-D ``table`` as the writers lay them out, in one ``_rows_text`` call."""
+    return b"".join(_rows_text(table.shape[1], table))
+
+
 def test_edge_values_format_like_the_f_string():
     table = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
-    text = b"".join(_table_text("h", table))
+    text = b"h\n" + rows_text(table)
     assert text == per_value_text("h", table.tolist())
     # the edge cases are what they claim to be
     assert b"1.00000000000e-300" in text
@@ -52,7 +56,7 @@ def test_edge_values_format_like_the_f_string():
 
 
 def test_empty_table_is_the_header_line():
-    assert list(_table_text("a\tb", np.empty((0, 2)))) == [b"a\tb\n"]
+    assert list(sweep_summary_text([])) == [b"omega0_mm1\tmin_P_r\tmin_population\tmax_mean_n\n"]
 
 
 @given(
@@ -63,11 +67,11 @@ def test_empty_table_is_the_header_line():
     )
 )
 def test_any_finite_floats_format_like_the_f_string(rows):
-    assert b"".join(_table_text("x\ty\tz", np.array(rows))) == per_value_text("x\ty\tz", rows)
+    assert b"x\ty\tz\n" + rows_text(np.array(rows)) == per_value_text("x\ty\tz", rows)
 
 
 def table_matches_per_value_text(table):
-    text = b"".join(_table_text("h", table))
+    text = b"h\n" + rows_text(table)
     assert text == per_value_text("h", table.tolist())
     return text
 
@@ -108,7 +112,7 @@ def test_blocks_with_different_live_widths_format_like_the_f_string():
     # block 3 is all zeros
     table[3 * rows_per_block:, 0] = rng.normal(size=rows_per_block + 5)      # 1 live
     table[-1, -1] = -0.0                                                       # ...and -0.0
-    assert len(list(_table_text("h", table))) == 1 + 5                        # header + 5 blocks
+    assert len(list(_rows_text(cols, table))) == 5                             # 5 blocks
     table_matches_per_value_text(table)
 
 
@@ -169,13 +173,13 @@ def test_any_float64_bit_pattern_encodes_like_percent(rows):
 
 
 def test_a_million_random_doubles_encode_like_percent():
-    # one _table_text call: 16 blocks of at most 2^16 values
+    # one _rows_text call: 16 blocks of at most 2^16 values
     rng = np.random.default_rng(8)
     size = 5 * 10**5
     bits = rng.integers(0, 2**64, size=size, dtype=np.uint64, endpoint=False).view(np.float64)
     lognormal = rng.lognormal(0.0, 40.0, size=size) * rng.choice([-1.0, 1.0], size=size)
     table = np.concatenate([bits, lognormal]).reshape(-1, 8)
-    assert b"".join(_table_text("h", table)) == b"h\n" + percent_text(table)
+    assert rows_text(table) == percent_text(table)
 
 
 def test_exact_ties_round_half_to_even():
@@ -243,7 +247,7 @@ def test_encoding_a_text_block_peaks_below_the_memory_estimate():
 
 
 def test_write_text_writes_the_blocks_as_ascii_with_newline_line_ends(tmp_path):
-    blocks = list(_table_text("a\tb", np.array([[1.5, -0.0], [np.inf, 1e-300]])))
+    blocks = list(sweep_summary_text([(1.5, -0.0, np.inf, 1e-300), (0.25, 1.0, 2.0, 3.0)]))
     path = tmp_path / "table.tsv"
     write_text(path, blocks)
     assert path.read_bytes() == b"".join(blocks)
